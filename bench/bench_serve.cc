@@ -1,17 +1,17 @@
 // ncl::serve load generator — closed-loop throughput/latency sweep of the
-// LinkingService against a serialized per-query baseline at equal thread
-// budget.
+// LinkingService against a single-threaded per-query baseline.
 //
 // Three measurements, emitted as BENCH_serve.json:
 //
-//   * serial: one caller looping NclLinker::LinkDetailed with the linker's
-//     own ThreadPool fanning each query's k candidates out over T threads —
-//     the pre-serve deployment model.
+//   * serial: one caller looping NclLinker::LinkDetailed on one thread. (A
+//     linker pool would not help here: at k = 20 < ed_batch_lanes = 32 a
+//     query's candidates fill a single lock-step tile, which scores on the
+//     calling thread.)
 //   * service: the micro-batched LinkingService with T single-threaded
 //     shards, swept over closed-loop client counts. Parallelism across
 //     queries amortises per-query synchronisation, so throughput should
-//     clear 2x the serial baseline once clients >= shards (the acceptance
-//     bar). The bar presumes real cores: on a machine with fewer than T
+//     clear 2x the single-threaded baseline once clients >= shards (the
+//     acceptance bar). The bar presumes real cores: on a machine with fewer than T
 //     hardware threads the sweep degenerates to the single-shard rate, so
 //     the JSON records hardware_concurrency and the console flags it.
 //     Shed rate is 0 below saturation regardless.
@@ -191,10 +191,9 @@ int main() {
   sampler_config.interval_ms = 50;
   obs::MetricsSampler sampler(&obs::MetricsRegistry::Global(), sampler_config);
 
-  // --- Baseline: serialized per-query loop, linker fans k candidates out
-  // over the full thread budget.
+  // --- Baseline: single-threaded per-query loop.
   linking::NclConfig serial_config;
-  serial_config.scoring_threads = shards;
+  serial_config.scoring_threads = 1;
   linking::NclLinker serial_linker = pipeline->MakeLinker(serial_config);
   pipeline->model->PrecomputeConceptEncodings();  // warm, as serving would be
   const size_t serial_rounds = full ? 4 : 2;
@@ -209,8 +208,8 @@ int main() {
   const double serial_elapsed = serial_watch.ElapsedSeconds();
   const double serial_qps = static_cast<double>(serial_queries) / serial_elapsed;
   std::cout << "serial baseline: " << FormatDouble(serial_qps, 1)
-            << " qps over " << serial_queries << " queries (threads="
-            << shards << ")\n";
+            << " qps over " << serial_queries
+            << " queries (single-threaded)\n";
 
   // --- Service: T single-threaded shards, snapshot shared by every level.
   // The pipeline outlives every snapshot, so alias into it without
@@ -229,9 +228,10 @@ int main() {
   double best_qps = 0.0;
   for (size_t clients : client_sweep) {
     if (clients == 0) continue;
-    serve::SnapshotRegistry registry;
-    registry.Publish(std::make_shared<serve::NclSnapshot>(
-        model, candidates, rewriter));
+    serve::TenantRegistry registry;
+    registry.Publish(serve::kDefaultTenant,
+                     std::make_shared<serve::NclSnapshot>(model, candidates,
+                                                          rewriter));
     serve::ServeConfig serve_config;
     serve_config.num_shards = shards;
     serve_config.max_batch = 2 * shards;
@@ -253,9 +253,10 @@ int main() {
   const size_t overload_clients = 4 * shards;
   const size_t overload_capacity = 2 * shards;
   {
-    serve::SnapshotRegistry registry;
-    registry.Publish(std::make_shared<serve::NclSnapshot>(
-        model, candidates, rewriter));
+    serve::TenantRegistry registry;
+    registry.Publish(serve::kDefaultTenant,
+                     std::make_shared<serve::NclSnapshot>(model, candidates,
+                                                          rewriter));
     serve::ServeConfig serve_config;
     serve_config.num_shards = shards;
     serve_config.max_batch = 2 * shards;
@@ -280,7 +281,7 @@ int main() {
   }
 
   // --- Two-tenant mixed load: the same model published under two ontology
-  // ids behind one shared queue and shard pool; clients split between the
+  // ids behind one shared queue and shard set; clients split between the
   // tenants by parity. The shared generator merges every client into one
   // distribution, so per-tenant latencies are timed here in the callback.
   struct TenantLevel {
@@ -347,9 +348,10 @@ int main() {
   // --- Traced burst: a short run with span recording on, exported as
   // request-correlated flow lanes for Perfetto.
   {
-    serve::SnapshotRegistry registry;
-    registry.Publish(std::make_shared<serve::NclSnapshot>(
-        model, candidates, rewriter));
+    serve::TenantRegistry registry;
+    registry.Publish(serve::kDefaultTenant,
+                     std::make_shared<serve::NclSnapshot>(model, candidates,
+                                                          rewriter));
     serve::ServeConfig serve_config;
     serve_config.num_shards = shards;
     serve_config.max_batch = 2 * shards;
@@ -414,7 +416,7 @@ int main() {
   json.EndObject();
   json.Key("serial").BeginObject();
   json.Key("qps").Value(serial_qps);
-  json.Key("threads").Value(static_cast<uint64_t>(shards));
+  json.Key("threads").Value(uint64_t{1});
   json.Key("queries").Value(static_cast<uint64_t>(serial_queries));
   json.EndObject();
   json.Key("service").BeginArray();

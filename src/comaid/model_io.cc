@@ -1,7 +1,11 @@
 #include "comaid/model_io.h"
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <limits>
+
+#include "util/binary_io.h"
 
 namespace ncl::comaid {
 
@@ -29,10 +33,13 @@ uint64_t ReadU64(std::ifstream& in) {
   in.read(reinterpret_cast<char*>(&v), sizeof(v));
   return v;
 }
-std::string ReadString(std::ifstream& in) {
-  std::string s(ReadU64(in), '\0');
-  in.read(s.data(), static_cast<std::streamsize>(s.size()));
-  return s;
+/// False (nothing allocated) when the stored length overruns the file.
+bool ReadString(std::ifstream& in, uint64_t file_bytes, std::string* s) {
+  const uint64_t len = ReadU64(in);
+  if (!in || len > BytesLeft(in, file_bytes)) return false;
+  s->resize(len);
+  in.read(s->data(), static_cast<std::streamsize>(len));
+  return static_cast<bool>(in);
 }
 }  // namespace
 
@@ -65,20 +72,49 @@ Result<std::unique_ptr<ComAidModel>> LoadModel(const std::string& path,
                                                const ontology::Ontology* onto) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
+  std::error_code size_error;
+  const uint64_t file_bytes = std::filesystem::file_size(path, size_error);
+  if (size_error) return Status::IOError("cannot open " + path);
+  const uint64_t params_bytes =
+      std::filesystem::file_size(path + ".params", size_error);
+  if (size_error) return Status::IOError("cannot open " + path + ".params");
   if (ReadU32(in) != kMagic) return Status::IOError("bad magic in " + path);
   if (ReadU32(in) != kVersion) return Status::IOError("bad version in " + path);
 
   ComAidConfig config;
   config.dim = ReadU64(in);
-  config.beta = static_cast<int32_t>(ReadU64(in));
+  const uint64_t beta = ReadU64(in);
   config.text_attention = ReadU32(in) != 0;
   config.structural_attention = ReadU32(in) != 0;
   config.seed = ReadU64(in);
-
-  uint64_t vocab_size = ReadU64(in);
-  std::vector<std::string> words(vocab_size);
-  for (auto& word : words) word = ReadString(in);
+  const uint64_t vocab_size = ReadU64(in);
   if (!in) return Status::IOError("truncated checkpoint " + path);
+  if (beta > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
+    return Status::IOError("corrupt checkpoint " + path + ": beta " +
+                           std::to_string(beta));
+  }
+  config.beta = static_cast<int32_t>(beta);
+  // The decoder's W_d alone holds dim x dim floats, the embeddings
+  // vocab x dim: a dim or vocabulary the weights file cannot hold is forged
+  // or corrupt, and must fail before the model allocates for it.
+  const uint64_t params_floats = params_bytes / sizeof(float);
+  if (config.dim == 0 || config.dim > params_floats / config.dim) {
+    return Status::IOError("corrupt checkpoint " + path + ": dim " +
+                           std::to_string(config.dim) + " does not fit " +
+                           std::to_string(params_bytes) + " bytes of weights");
+  }
+  // Every stored word takes at least its 8-byte length prefix.
+  if (vocab_size > BytesLeft(in, file_bytes) / sizeof(uint64_t) ||
+      vocab_size > params_floats / config.dim) {
+    return Status::IOError("corrupt checkpoint " + path + ": vocabulary of " +
+                           std::to_string(vocab_size) + " words");
+  }
+  std::vector<std::string> words(vocab_size);
+  for (auto& word : words) {
+    if (!ReadString(in, file_bytes, &word)) {
+      return Status::IOError("truncated checkpoint " + path);
+    }
+  }
 
   // Rebuild the model with the checkpointed vocabulary: the ontology words
   // come first (as in the original construction); any remaining checkpoint

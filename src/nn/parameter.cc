@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 
+#include "util/binary_io.h"
 #include "util/logging.h"
 
 namespace ncl::nn {
@@ -100,6 +102,9 @@ Status ParameterStore::Save(const std::string& path) const {
 Status ParameterStore::Load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
+  std::error_code size_error;
+  const uint64_t file_bytes = std::filesystem::file_size(path, size_error);
+  if (size_error) return Status::IOError("cannot open " + path);
 
   auto read_u32 = [&in]() {
     uint32_t v = 0;
@@ -114,9 +119,19 @@ Status ParameterStore::Load(const std::string& path) {
 
   if (read_u32() != kMagic) return Status::IOError("bad magic in " + path);
   if (read_u32() != kVersion) return Status::IOError("bad version in " + path);
-  uint64_t count = read_u64();
+  // Each entry takes at least its name length, rows and cols (3 x u64).
+  const uint64_t count = read_u64();
+  if (!in || count > BytesLeft(in, file_bytes) / (3 * sizeof(uint64_t))) {
+    return Status::IOError("corrupt checkpoint " + path + ": " +
+                           std::to_string(count) + " parameters");
+  }
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t name_len = read_u64();
+    const uint64_t name_len = read_u64();
+    if (!in || name_len > BytesLeft(in, file_bytes)) {
+      return Status::IOError("corrupt checkpoint " + path +
+                             ": parameter name of " +
+                             std::to_string(name_len) + " bytes");
+    }
     std::string name(name_len, '\0');
     in.read(name.data(), static_cast<std::streamsize>(name_len));
     uint64_t rows = read_u64();

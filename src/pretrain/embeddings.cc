@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 
+#include "util/binary_io.h"
 #include "util/logging.h"
 
 namespace ncl::pretrain {
@@ -86,6 +88,9 @@ Status WordEmbeddings::Save(const std::string& path) const {
 Result<WordEmbeddings> WordEmbeddings::Load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
+  std::error_code size_error;
+  const uint64_t file_bytes = std::filesystem::file_size(path, size_error);
+  if (size_error) return Status::IOError("cannot open " + path);
   uint32_t magic = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   if (magic != kMagic) return Status::IOError("bad magic in " + path);
@@ -93,16 +98,32 @@ Result<WordEmbeddings> WordEmbeddings::Load(const std::string& path) {
   uint64_t width = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   in.read(reinterpret_cast<char*>(&width), sizeof(width));
+  // Each entry takes its length and frequency (2 x u64) plus the vector.
+  const uint64_t left = BytesLeft(in, file_bytes);
+  if (!in || width > left / sizeof(float) ||
+      count > left / (2 * sizeof(uint64_t) + width * sizeof(float))) {
+    return Status::IOError("corrupt embeddings file " + path + ": " +
+                           std::to_string(count) + " x " +
+                           std::to_string(width));
+  }
   text::Vocabulary vocab;
   nn::Matrix vectors(count, width);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t len = 0;
     in.read(reinterpret_cast<char*>(&len), sizeof(len));
+    if (!in || len > BytesLeft(in, file_bytes)) {
+      return Status::IOError("truncated embeddings file " + path);
+    }
     std::string word(len, '\0');
     in.read(word.data(), static_cast<std::streamsize>(len));
     uint64_t word_count = 0;
     in.read(reinterpret_cast<char*>(&word_count), sizeof(word_count));
     vocab.Add(word, word_count);
+    // One row per word: a repeated word would leave a row without one.
+    if (vocab.size() != i + 1) {
+      return Status::IOError("corrupt embeddings file " + path +
+                             ": word '" + word + "' repeats");
+    }
     in.read(reinterpret_cast<char*>(vectors.row_data(i)),
             static_cast<std::streamsize>(width * sizeof(float)));
     if (!in) return Status::IOError("truncated embeddings file " + path);

@@ -16,7 +16,6 @@ namespace {
 /// Registry handles for `ncl.serve.*`, resolved once.
 struct ServeMetrics {
   obs::Gauge* queue_depth;
-  obs::Gauge* effective_max_batch;
   obs::Counter* admitted;
   obs::Counter* rejected;
   obs::Counter* shed;
@@ -33,7 +32,6 @@ const ServeMetrics& GetServeMetrics() {
   static const ServeMetrics metrics = [] {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     return ServeMetrics{registry.GetGauge("ncl.serve.queue_depth"),
-                        registry.GetGauge("ncl.serve.effective_max_batch"),
                         registry.GetCounter("ncl.serve.admit"),
                         registry.GetCounter("ncl.serve.reject"),
                         registry.GetCounter("ncl.serve.shed"),
@@ -68,28 +66,12 @@ std::atomic<uint64_t> g_next_request_id{1};
 
 }  // namespace
 
-LinkingService::LinkingService(SnapshotRegistry* registry, ServeConfig config)
-    : registry_(registry), config_(std::move(config)) {
-  NCL_CHECK(registry_ != nullptr);
-  Init();
-}
-
 LinkingService::LinkingService(TenantRegistry* tenants, ServeConfig config)
     : tenants_(tenants), config_(std::move(config)) {
   NCL_CHECK(tenants_ != nullptr);
-  Init();
-}
-
-void LinkingService::Init() {
   NCL_CHECK(config_.queue_capacity > 0) << "queue_capacity must be positive";
   NCL_CHECK(config_.max_batch > 0) << "max_batch must be positive";
   NCL_CHECK(config_.num_shards > 0) << "num_shards must be positive";
-  if (config_.adaptive_batch) {
-    NCL_CHECK(config_.min_batch > 0 && config_.min_batch <= config_.max_batch)
-        << "adaptive batching needs 0 < min_batch <= max_batch";
-  }
-  pool_ = std::make_unique<ThreadPool>(config_.num_shards);
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
   if (config_.slo.enabled) {
     if (config_.slo.slow_log_n > 0) {
       slow_log_ = std::make_unique<SlowRequestLog>(config_.slo.slow_log_n);
@@ -102,6 +84,15 @@ void LinkingService::Init() {
       probe.queue_depth = queue_.size();
       return probe;
     });
+  }
+  shards_.reserve(config_.num_shards);
+  try {
+    for (size_t s = 0; s < config_.num_shards; ++s) {
+      shards_.emplace_back([this] { ShardLoop(); });
+    }
+  } catch (...) {
+    Shutdown();  // join the shards already started before unwinding
+    throw;
   }
 }
 
@@ -129,30 +120,17 @@ LinkingService::TenantState* LinkingService::GetTenantStateLocked(
   return tenant_states_.emplace(tenant, std::move(state)).first->second.get();
 }
 
-std::shared_ptr<const ModelSnapshot> LinkingService::CurrentSnapshot(
-    const std::string& tenant) const {
-  // Single-registry services admit only the default tenant, so the lookup
-  // ignores the name; TenantRegistry resolves per tenant.
-  return registry_ != nullptr ? registry_->Current() : tenants_->Current(tenant);
-}
-
 std::future<LinkResult> LinkingService::SubmitLink(
     std::vector<std::string> query, RequestOptions options) {
   PendingRequest request;
   request.id = g_next_request_id.fetch_add(1, std::memory_order_relaxed);
   // Hop 0 of the request's trace lane: the admission span (covering any
-  // blocking wait for queue space) starts the flow edge the dispatcher's
-  // marker finishes.
+  // blocking wait for queue space) starts the flow edge the pulling shard's
+  // dispatch marker finishes.
   NCL_TRACE_SPAN_FLOW("ncl.serve.admit", obs::RequestFlowId(request.id, 0), 0);
   request.query = std::move(query);
   request.tenant = options.ontology.empty() ? std::string(kDefaultTenant)
                                             : std::move(options.ontology);
-  if (registry_ != nullptr && request.tenant != kDefaultTenant) {
-    return MakeErrorFuture(
-        Status::NotFound("unknown ontology '" + request.tenant +
-                         "': this service hosts a single unnamed model"),
-        request.id);
-  }
   request.enqueued = std::chrono::steady_clock::now();
   std::chrono::microseconds deadline =
       options.deadline.count() > 0 ? options.deadline : config_.default_deadline;
@@ -167,7 +145,7 @@ std::future<LinkResult> LinkingService::SubmitLink(
   std::future<LinkResult> future = request.promise.get_future();
 
   std::unique_lock<std::mutex> lock(mutex_);
-  if (!accepting_) {
+  if (stopping_) {
     return MakeErrorFuture(
         Status::Unavailable("service is not accepting requests"), request.id);
   }
@@ -184,8 +162,8 @@ std::future<LinkResult> LinkingService::SubmitLink(
     switch (config_.policy) {
       case OverloadPolicy::kBlock:
         cv_space_.wait(lock,
-                       [this, &over_limits] { return !accepting_ || !over_limits(); });
-        if (!accepting_) {
+                       [this, &over_limits] { return stopping_ || !over_limits(); });
+        if (stopping_) {
           return MakeErrorFuture(
               Status::Unavailable("service stopped while waiting for queue space"),
               request.id);
@@ -257,67 +235,116 @@ LinkResult LinkingService::Link(std::vector<std::string> query,
   return SubmitLink(std::move(query), options).get();
 }
 
-void LinkingService::ProcessSlice(
-    PendingRequest* requests, size_t count,
-    const std::shared_ptr<const ModelSnapshot>& snapshot,
-    std::atomic<uint64_t>* candidates) {
+void LinkingService::ShardLoop() {
   const ServeMetrics& metrics = GetServeMetrics();
-  const auto dispatched = std::chrono::steady_clock::now();
+  const size_t shards = config_.num_shards;
+  const size_t max_pull = (config_.max_batch + shards - 1) / shards;
+  for (;;) {
+    std::vector<PendingRequest> batch;
+    std::shared_ptr<const ModelSnapshot> snapshot;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_work_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, and nothing left to serve
+      // One tenant per pull, FIFO within it; the head's tenant goes first
+      // so no tenant starves behind another's backlog.
+      TenantState* tenant = queue_.front().tenant_state;
+      const size_t take =
+          std::min((tenant->queued + shards - 1) / shards, max_pull);
+      batch.reserve(take);
+      auto it = queue_.begin();
+      while (it != queue_.end() && batch.size() < take) {
+        if (it->tenant_state != tenant) {
+          ++it;
+          continue;
+        }
+        batch.push_back(std::move(*it));
+        it = queue_.erase(it);
+      }
+      tenant->queued -= batch.size();
+      tenant->m_queue_depth->Set(static_cast<double>(tenant->queued));
+      PublishQueueDepthLocked();
+      // Pinned under the queue lock, so a later pull of this tenant — which
+      // holds later submissions — can never pin an older version.
+      snapshot = tenants_->Current(batch.front().tenant);
+    }
+    cv_space_.notify_all();
+    const auto pulled = std::chrono::steady_clock::now();
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    metrics.batch_size->Record(batch.size());
+    ScoreBatch(batch, snapshot, pulled);
+  }
+}
+
+void LinkingService::ScoreBatch(
+    std::vector<PendingRequest>& batch,
+    const std::shared_ptr<const ModelSnapshot>& snapshot,
+    std::chrono::steady_clock::time_point pulled) {
+  NCL_TRACE_SPAN("ncl.serve.batch");
+  const ServeMetrics& metrics = GetServeMetrics();
   const bool tracing = obs::TracingEnabled();
+  if (tracing) {
+    // Hop 1 of each request's trace lane: this shard pulled the request —
+    // finish the admit edge and start the edge the request marker ends.
+    for (const PendingRequest& request : batch) {
+      NCL_TRACE_SPAN_FLOW("ncl.serve.dispatch",
+                          obs::RequestFlowId(request.id, 1),
+                          obs::RequestFlowId(request.id, 0));
+    }
+  }
+  const auto dispatched = std::chrono::steady_clock::now();
 
   // Per-request admission checks first: expired or snapshot-less requests
   // resolve immediately and never reach the scoring pass.
+  const size_t count = batch.size();
   std::vector<LinkResult> results(count);
   std::vector<size_t> live;
   live.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    results[i].request_id = requests[i].id;
-    results[i].queue_us = MicrosBetween(requests[i].enqueued, dispatched);
-    results[i].timings.queue_wait_us =
-        MicrosBetween(requests[i].enqueued, requests[i].drained);
-    results[i].timings.batch_form_us =
-        MicrosBetween(requests[i].drained, dispatched);
+    results[i].request_id = batch[i].id;
+    results[i].queue_us = MicrosBetween(batch[i].enqueued, dispatched);
+    results[i].timings.queue_wait_us = MicrosBetween(batch[i].enqueued, pulled);
+    results[i].timings.batch_form_us = MicrosBetween(pulled, dispatched);
     metrics.queue_wait_us->RecordMicros(results[i].queue_us);
-    if (requests[i].has_deadline && dispatched > requests[i].deadline) {
+    if (batch[i].has_deadline && dispatched > batch[i].deadline) {
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       metrics.deadline_exceeded->Increment();
-      requests[i].tenant_state->deadline_exceeded.fetch_add(
+      batch[i].tenant_state->deadline_exceeded.fetch_add(
           1, std::memory_order_relaxed);
-      requests[i].tenant_state->m_deadline_exceeded->Increment();
+      batch[i].tenant_state->m_deadline_exceeded->Increment();
       results[i].status = Status::DeadlineExceeded(
           "request spent its deadline waiting in the admission queue");
     } else if (snapshot == nullptr) {
       results[i].status = Status::FailedPrecondition(
           "no model snapshot has been published for ontology '" +
-          requests[i].tenant + "'");
+          batch[i].tenant + "'");
     } else {
       live.push_back(i);
     }
   }
 
   // The surviving queries score as one LinkBatch workload: lock-step GEMM
-  // tiles span the whole slice. A scoring exception fails every live
-  // request in the slice — they shared one computation.
+  // tiles span the whole batch. A scoring exception fails every live
+  // request in the batch — they shared one computation.
+  uint64_t scored_candidates = 0;
   if (!live.empty()) {
-    NCL_TRACE_SPAN("ncl.serve.slice");
     std::vector<std::vector<std::string>> queries;
     std::vector<uint64_t> flow_ids;
     queries.reserve(live.size());
     if (tracing) flow_ids.reserve(live.size());
     for (size_t i : live) {
-      queries.push_back(requests[i].query);
+      queries.push_back(batch[i].query);
       if (tracing) {
-        // Hop 2 of the request's trace lane: this shard picked the request
-        // up — finish the dispatch edge, start the edge the linker's
-        // ncl.link.query span terminates.
+        // Hop 2 of the request's trace lane: finish the dispatch edge, start
+        // the edge the linker's ncl.link.query span terminates.
         NCL_TRACE_SPAN_FLOW("ncl.serve.request",
-                            obs::RequestFlowId(requests[i].id, 2),
-                            obs::RequestFlowId(requests[i].id, 1));
-        flow_ids.push_back(obs::RequestFlowId(requests[i].id, 2));
+                            obs::RequestFlowId(batch[i].id, 2),
+                            obs::RequestFlowId(batch[i].id, 1));
+        flow_ids.push_back(obs::RequestFlowId(batch[i].id, 2));
       }
     }
     Stopwatch watch;
-    Status slice_status;
+    Status batch_status;
     std::vector<std::vector<linking::ScoredCandidate>> ranked;
     std::vector<linking::PhaseTimings> phases;
     try {
@@ -326,21 +353,21 @@ void LinkingService::ProcessSlice(
       NCL_CHECK(ranked.size() == live.size());
       NCL_CHECK(phases.size() == live.size());
     } catch (const std::exception& e) {
-      slice_status = Status::Internal(std::string("scoring failed: ") + e.what());
+      batch_status =
+          Status::Internal(std::string("scoring failed: ") + e.what());
     } catch (...) {
-      slice_status = Status::Internal("scoring failed: unknown exception");
+      batch_status = Status::Internal("scoring failed: unknown exception");
     }
-    // The slice scored as one unit, so its wall time is shared out evenly;
+    // The batch scored as one unit, so its wall time is shared out evenly;
     // per-query attribution (the RequestTimings stage split) comes from the
     // linker's PhaseTimings.
     const double per_request_us =
         watch.ElapsedMicros() / static_cast<double>(live.size());
-    uint64_t scored_candidates = 0;
     for (size_t r = 0; r < live.size(); ++r) {
       LinkResult& result = results[live[r]];
       result.service_us = per_request_us;
-      if (!slice_status.ok()) {
-        result.status = slice_status;
+      if (!batch_status.ok()) {
+        result.status = batch_status;
         continue;
       }
       result.timings.candgen_us = phases[r].rewrite_us + phases[r].retrieve_us;
@@ -353,13 +380,13 @@ void LinkingService::ProcessSlice(
       metrics.completed->Increment();
       metrics.service_us->RecordMicros(result.service_us);
       metrics.e2e_us->RecordMicros(result.queue_us + result.service_us);
-      TenantState* tenant = requests[live[r]].tenant_state;
+      TenantState* tenant = batch[live[r]].tenant_state;
       tenant->completed.fetch_add(1, std::memory_order_relaxed);
       tenant->m_completed->Increment();
       tenant->m_e2e_us->RecordMicros(result.queue_us + result.service_us);
     }
-    candidates->fetch_add(scored_candidates, std::memory_order_relaxed);
   }
+  metrics.candidates_per_batch->Record(scored_candidates);
 
   for (size_t i = 0; i < count; ++i) {
     LinkResult& result = results[i];
@@ -371,120 +398,9 @@ void LinkingService::ProcessSlice(
     }
     if (slow_log_ != nullptr) {
       slow_log_->Offer(result.request_id, result.timings.total_us,
-                       result.timings, requests[i].query);
+                       result.timings, batch[i].query);
     }
-    requests[i].promise.set_value(std::move(results[i]));
-  }
-}
-
-void LinkingService::DispatchLoop() {
-  const ServeMetrics& metrics = GetServeMetrics();
-  for (;;) {
-    std::vector<PendingRequest> batch;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_work_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      // Adaptive mode sizes the tick to the backlog: a shallow queue
-      // dispatches immediately in small batches (latency), a deep one fills
-      // batches up to max_batch (cross-query GEMM throughput).
-      size_t effective = config_.max_batch;
-      if (config_.adaptive_batch) {
-        effective = std::clamp(queue_.size(), config_.min_batch,
-                               config_.max_batch);
-      }
-      metrics.effective_max_batch->Set(static_cast<double>(effective));
-      const size_t take = std::min(effective, queue_.size());
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        PendingRequest& front = queue_.front();
-        front.tenant_state->queued--;
-        front.tenant_state->m_queue_depth->Set(
-            static_cast<double>(front.tenant_state->queued));
-        batch.push_back(std::move(front));
-        queue_.pop_front();
-      }
-      dispatch_busy_ = true;
-      PublishQueueDepthLocked();
-    }
-    cv_space_.notify_all();
-
-    // One clock read stamps the whole tick: queue_wait ends (and batch
-    // formation starts) here for every drained request.
-    const auto drained = std::chrono::steady_clock::now();
-    for (PendingRequest& request : batch) request.drained = drained;
-
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    metrics.batch_size->Record(batch.size());
-    // Group the tick's batch by tenant (stable: intra-tenant arrival order
-    // is preserved) so each group pins *one* snapshot and scores exactly as
-    // it would on a single-tenant service — a concurrent per-tenant Publish
-    // only affects the next tick.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const PendingRequest& a, const PendingRequest& b) {
-                       return a.tenant < b.tenant;
-                     });
-    std::atomic<uint64_t> batch_candidates{0};
-    {
-      NCL_TRACE_SPAN("ncl.serve.batch");
-      if (obs::TracingEnabled()) {
-        // Hop 1 of each request's trace lane: a marker on the dispatcher
-        // thread finishing the admit edge and starting the shard edge.
-        for (const PendingRequest& request : batch) {
-          NCL_TRACE_SPAN_FLOW("ncl.serve.dispatch",
-                              obs::RequestFlowId(request.id, 1),
-                              obs::RequestFlowId(request.id, 0));
-        }
-      }
-      // Contiguous slices within each tenant group; every slice is one
-      // LinkBatch workload against its group's pinned snapshot, and all
-      // slices — across groups — fan out over the shard pool together.
-      struct SliceTask {
-        size_t begin = 0;
-        size_t count = 0;
-        size_t group = 0;  ///< index into `snapshots`
-      };
-      std::vector<std::shared_ptr<const ModelSnapshot>> snapshots;
-      std::vector<SliceTask> tasks;
-      size_t group_begin = 0;
-      while (group_begin < batch.size()) {
-        size_t group_end = group_begin + 1;
-        while (group_end < batch.size() &&
-               batch[group_end].tenant == batch[group_begin].tenant) {
-          ++group_end;
-        }
-        snapshots.push_back(CurrentSnapshot(batch[group_begin].tenant));
-        const size_t group_size = group_end - group_begin;
-        const size_t slices = std::min(config_.num_shards, group_size);
-        for (size_t s = 0; s < slices; ++s) {
-          const size_t begin = group_size * s / slices;
-          const size_t end = group_size * (s + 1) / slices;
-          tasks.push_back(
-              SliceTask{group_begin + begin, end - begin, snapshots.size() - 1});
-        }
-        group_begin = group_end;
-      }
-      if (tasks.size() <= 1) {
-        ProcessSlice(batch.data() + tasks[0].begin, tasks[0].count,
-                     snapshots[tasks[0].group], &batch_candidates);
-      } else {
-        pool_->ParallelFor(tasks.size(), [&](size_t t) {
-          ProcessSlice(batch.data() + tasks[t].begin, tasks[t].count,
-                       snapshots[tasks[t].group], &batch_candidates);
-        });
-      }
-    }
-    metrics.candidates_per_batch->Record(
-        batch_candidates.load(std::memory_order_relaxed));
-
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      dispatch_busy_ = false;
-    }
-    cv_idle_.notify_all();
+    batch[i].promise.set_value(std::move(results[i]));
   }
 }
 
@@ -493,7 +409,7 @@ void LinkingService::StopInternal(bool fail_queued) {
   if (stopped_) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    accepting_ = false;
+    stopping_ = true;
     if (fail_queued) {
       while (!queue_.empty()) {
         PendingRequest victim = std::move(queue_.front());
@@ -511,15 +427,8 @@ void LinkingService::StopInternal(bool fail_queued) {
     }
   }
   cv_space_.notify_all();  // release submitters blocked on a full queue
-  cv_work_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_idle_.wait(lock, [this] { return queue_.empty() && !dispatch_busy_; });
-    stopping_ = true;
-  }
-  cv_work_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  pool_.reset();
+  cv_work_.notify_all();   // shards serve what is left, then exit
+  for (std::thread& shard : shards_) shard.join();
   if (slo_ != nullptr) {
     // Final window so runs shorter than one check interval still report,
     // then stop the thread (its probe reads state torn down below).

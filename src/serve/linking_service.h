@@ -3,72 +3,72 @@
 // NclLinker answers one query per call; the paper's deployment (and the
 // ROADMAP north-star) is an online service absorbing a continuous query
 // stream from EMR front-ends while the Appendix-A loop retrains COM-AID in
-// the background. LinkingService fronts the linker with the three pieces
-// that turns into:
+// the background. LinkingService fronts the linker with:
 //
 //   * A bounded admission queue with a configurable overload policy —
 //     kBlock (callers wait for space), kReject (fail fast with
 //     ResourceExhausted), kShedOldest (evict the stalest queued request,
 //     which then fails with Unavailable) — plus optional per-request
-//     deadlines, enforced at dispatch: a request that waited past its
-//     deadline fails with DeadlineExceeded instead of burning a shard on an
-//     answer nobody is waiting for.
+//     deadlines, enforced when a shard picks the request up: a request that
+//     waited past its deadline fails with DeadlineExceeded instead of
+//     burning a shard on an answer nobody is waiting for.
 //
-//   * A micro-batching scheduler: a dispatcher thread drains up to
-//     `max_batch` queued requests per tick (or, with `adaptive_batch`, a
-//     queue-depth-driven batch between `min_batch` and `max_batch`) and
-//     splits the batch into `num_shards` contiguous slices, one slice per
-//     worker. Each shard scores its whole slice as *one*
-//     ModelSnapshot::LinkBatch workload, so candidates from different
-//     queries in the slice share lock-step GEMM tiles (see
+//   * `num_shards` shard threads that pull their own micro-batches. Under
+//     the queue lock a shard takes the head request's tenant t and pops up
+//     to min(ceil(queued_t / num_shards), ceil(max_batch / num_shards)) of
+//     t's queued requests in FIFO order, so a deep backlog is split evenly
+//     across the shards and a shallow one is served at once. The shard
+//     scores its pull as *one* ModelSnapshot::LinkBatch workload, so
+//     candidates from different queries share lock-step GEMM tiles (see
 //     NclLinker::LinkBatchDetailed); Phase-II parallelism comes from
 //     batching across queries, not from fanning one query's k candidates
-//     out — which saturates the pool with far less synchronisation per unit
-//     of work.
+//     out. No shard waits for another: there is no dispatcher and no tick.
 //
-//   * Snapshot pinning: each batch pins the registry's current snapshot
-//     once and every request in the batch scores against that immutable
-//     snapshot, so a concurrent Publish (hot model swap) is torn-read-free
-//     by construction — in-flight batches finish on the old model, the next
-//     batch picks up the new one.
+//   * Snapshot pinning: a shard pins its tenant's current snapshot inside
+//     the same critical section that pops the batch, and every request in
+//     the batch scores against that immutable snapshot. A concurrent
+//     Publish (hot model swap) is therefore torn-read-free, and versions
+//     are monotone in submission order: a later pull of the same tenant
+//     can never pin an older snapshot than an earlier one.
 //
-//   * Multi-tenancy: a service constructed over a TenantRegistry hosts one
-//     model per ontology behind one shared admission queue and shard pool.
-//     RequestOptions::ontology selects the tenant; each dispatch tick
-//     groups its drained batch by tenant and pins one snapshot per tenant
-//     group (per-tenant results are bit-identical to a single-tenant
-//     service hosting only that model). ServeConfig::tenant_quota caps each
-//     tenant's share of the queue, with the overload policy applied within
-//     the offending tenant — so one ontology's overload sheds its own
-//     requests, never a neighbour's — and every admission/shed/completion
-//     event is mirrored onto per-tenant `ncl.serve.<tenant>.*` metrics.
+//   * Multi-tenancy: the service hosts one model per ontology of its
+//     TenantRegistry behind one shared admission queue and shard set
+//     (single-model deployments publish under kDefaultTenant).
+//     RequestOptions::ontology selects the tenant; a pull never mixes
+//     tenants, so per-tenant results are bit-identical to a service hosting
+//     only that model. ServeConfig::tenant_quota caps each tenant's share
+//     of the queue, with the overload policy applied within the offending
+//     tenant — so one ontology's overload sheds its own requests, never a
+//     neighbour's — and every admission/shed/completion event is mirrored
+//     onto per-tenant `ncl.serve.<tenant>.*` metrics.
 //
 // Lifecycle: construct → (traffic) → Drain() *or* Shutdown(). Drain stops
-// admission and completes everything queued; Shutdown stops admission and
-// fails queued requests with Unavailable. Both are terminal and idempotent;
-// the destructor implies Shutdown.
+// admission and lets the shards serve everything queued; Shutdown stops
+// admission and fails queued requests with Unavailable. Either way the
+// shards exit once the queue is empty and are joined. Both are terminal
+// and idempotent; the destructor implies Shutdown.
 //
-// Observability (`ncl.serve.*`): queue_depth and effective_max_batch
-// gauges; admitted / rejected / shed / deadline_exceeded / completed
-// counters; batch_size, candidates_per_batch, queue_wait_us, service_us and
-// e2e_us histograms (e2e = queue wait + service); per-batch
-// `ncl.serve.batch` and per-slice `ncl.serve.slice` trace spans.
+// Observability (`ncl.serve.*`): queue_depth gauge; admitted / rejected /
+// shed / deadline_exceeded / completed counters; batch_size and
+// candidates_per_batch (per pull), queue_wait_us, service_us and e2e_us
+// histograms (e2e = queue wait + service); a per-pull `ncl.serve.batch`
+// trace span.
 //
 // Request-flow tracing: every admitted request gets a process-unique id.
 // When tracing is on, admission records an `ncl.serve.admit` span starting
-// flow edge 0, the dispatcher tick records one `ncl.serve.dispatch` marker
-// per request (finishes edge 0, starts edge 1), each shard records an
-// `ncl.serve.request` span per slice member (finishes edge 1, starts edge
-// 2), and the linker's `ncl.link.query` span finishes edge 2 — so one
-// request renders as a connected lane across the submitter, dispatcher and
-// shard threads in Perfetto (see obs::RequestFlowId). Every LinkResult also
-// carries its request id and a RequestTimings stage breakdown (queue wait /
-// batch formation / candidate generation / ED / ranking), populated from
-// the linker's per-query PhaseTimings.
+// flow edge 0; the shard that pulls the request records an
+// `ncl.serve.dispatch` marker (finishes edge 0, starts edge 1) and then an
+// `ncl.serve.request` marker (finishes edge 1, starts edge 2), and the
+// linker's `ncl.link.query` span finishes edge 2 — so one request renders
+// as a connected lane from the submitter into the shard in Perfetto (see
+// obs::RequestFlowId). Every LinkResult also carries its request id and a
+// RequestTimings stage breakdown (queue wait / pull-to-scoring / candidate
+// generation / ED / ranking), populated from the linker's per-query
+// PhaseTimings.
 //
 // SLO watchdog: with `ServeConfig::slo.enabled`, the service owns an
 // SloWatchdog fed every completed request (rolling-window p50/p99, error
-// budget, stall detection over the dispatch probe — see serve/slo.h) and a
+// budget, stall detection over the pull counter — see serve/slo.h) and a
 // SlowRequestLog keeping the N slowest requests with full stage breakdowns.
 
 #pragma once
@@ -91,7 +91,6 @@
 #include "serve/model_snapshot.h"
 #include "serve/slo.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace ncl::obs {
 class Counter;
@@ -113,21 +112,13 @@ struct ServeConfig {
   /// Admission queue bound (must be > 0).
   size_t queue_capacity = 256;
   OverloadPolicy policy = OverloadPolicy::kBlock;
-  /// Requests drained per scheduler tick (must be > 0). With adaptive
-  /// batching this is the ceiling.
+  /// Requests the shards hold in flight at once (must be > 0): one pull
+  /// takes at most ceil(max_batch / num_shards), so the shards together
+  /// hold at most max_batch when it is a multiple of num_shards.
   size_t max_batch = 16;
-  /// Worker shards scoring micro-batch slices in parallel (must be > 0).
+  /// Shard threads, each pulling and scoring its own micro-batches
+  /// (must be > 0).
   size_t num_shards = 4;
-  /// Adapt the per-tick batch size to the observed admission-queue depth:
-  /// each tick takes clamp(queue_depth, min_batch, max_batch) requests, so
-  /// a lightly loaded service dispatches small low-latency batches while a
-  /// backlogged one grows its batches (and with them the cross-query GEMM
-  /// tiles) up to max_batch. The choice is published on the
-  /// `ncl.serve.effective_max_batch` gauge.
-  bool adaptive_batch = false;
-  /// Floor for the adaptive batch size (must be > 0 and <= max_batch when
-  /// adaptive_batch is on).
-  size_t min_batch = 1;
   /// Deadline applied to requests that don't carry their own (zero = none).
   std::chrono::microseconds default_deadline{0};
   /// Max queued requests *per tenant* (0 = no per-tenant cap). When a
@@ -154,9 +145,7 @@ struct RequestOptions {
   /// kMaxRequestDeadline.
   std::chrono::microseconds deadline{0};
   /// Which ontology's model scores this request (empty = kDefaultTenant).
-  /// Single-registry services accept only the default tenant; a
-  /// TenantRegistry-backed service dispatches to Current(ontology) and
-  /// fails FailedPrecondition when that tenant has never published.
+  /// A tenant that has never published fails FailedPrecondition.
   std::string ontology;
 };
 
@@ -166,7 +155,7 @@ struct LinkResult {
   std::vector<linking::ScoredCandidate> candidates;
   /// Version of the snapshot that scored this request (0 when unserved).
   uint64_t snapshot_version = 0;
-  double queue_us = 0.0;    ///< admission -> dispatch
+  double queue_us = 0.0;    ///< admission -> scoring start
   double service_us = 0.0;  ///< Phase I+II scoring time
   /// Process-unique id assigned at admission (0 when never admitted); the
   /// trace flow-edge ids of this request are obs::RequestFlowId(id, hop).
@@ -194,29 +183,19 @@ struct ServeStats {
   uint64_t shed = 0;
   uint64_t deadline_exceeded = 0;
   uint64_t completed = 0;  ///< requests that scored successfully
-  uint64_t batches = 0;
+  uint64_t batches = 0;  ///< shard pulls
   size_t queue_depth = 0;      ///< current
   size_t max_queue_depth = 0;  ///< high-water mark observed
   /// Keyed by tenant id; only tenants that have submitted appear.
   std::map<std::string, TenantStats> tenants;
 };
 
-/// \brief The service: admission queue -> micro-batcher -> worker shards.
+/// \brief The service: admission queue -> shards pulling micro-batches.
 class LinkingService {
  public:
-  /// Single-tenant form: every request scores against `registry`'s current
-  /// snapshot and only the default (unnamed) ontology is accepted — a
-  /// request naming any other ontology fails NotFound at admission.
-  /// \param registry source of scoring snapshots; must outlive the service.
-  ///        Publishing before the first request is recommended — requests
-  ///        dispatched with no snapshot fail FailedPrecondition.
-  LinkingService(SnapshotRegistry* registry, ServeConfig config = {});
-
-  /// Multi-tenant form: requests carry RequestOptions::ontology and each
-  /// dispatch tick groups its batch by tenant, pinning one snapshot per
-  /// tenant group, so per-tenant results are bit-identical to a
-  /// single-tenant service hosting only that model. `tenants` must outlive
-  /// the service; tenants may publish before or after construction.
+  /// Requests carry RequestOptions::ontology (empty = kDefaultTenant) and
+  /// score against `tenants->Current(ontology)`. `tenants` must outlive the
+  /// service; tenants may publish before or after construction.
   LinkingService(TenantRegistry* tenants, ServeConfig config = {});
   ~LinkingService();
 
@@ -233,12 +212,12 @@ class LinkingService {
   /// Sync convenience: SubmitLink + wait. Do not call from a shard thread.
   LinkResult Link(std::vector<std::string> query, RequestOptions options = {});
 
-  /// Stop admission, serve everything already queued, then stop the
-  /// scheduler. Terminal and idempotent.
+  /// Stop admission, serve everything already queued, then join the
+  /// shards. Terminal and idempotent.
   void Drain();
 
-  /// Stop admission, fail queued requests with Unavailable, then stop the
-  /// scheduler (the in-flight batch still completes). Terminal, idempotent.
+  /// Stop admission, fail queued requests with Unavailable, then join the
+  /// shards (in-flight batches still complete). Terminal, idempotent.
   void Shutdown();
 
   ServeStats stats() const;
@@ -283,44 +262,33 @@ class LinkingService {
     std::string tenant;             ///< canonical (never empty)
     TenantState* tenant_state = nullptr;
     std::chrono::steady_clock::time_point enqueued;
-    std::chrono::steady_clock::time_point drained{};  ///< left the queue
     std::chrono::steady_clock::time_point deadline{};
     bool has_deadline = false;
   };
 
   /// Find-or-create the tenant's accounting state. Requires mutex_.
   TenantState* GetTenantStateLocked(const std::string& tenant);
-  /// The snapshot that scores tenant `tenant`'s requests right now.
-  std::shared_ptr<const ModelSnapshot> CurrentSnapshot(
-      const std::string& tenant) const;
 
-  void DispatchLoop();
-  /// Score one contiguous micro-batch slice on the calling shard: enforce
-  /// deadlines, then hand the surviving queries to the snapshot as one
-  /// LinkBatch workload. Adds the number of candidates returned to
-  /// `candidates` (feeds `ncl.serve.candidates_per_batch`).
-  void ProcessSlice(PendingRequest* requests, size_t count,
-                    const std::shared_ptr<const ModelSnapshot>& snapshot,
-                    std::atomic<uint64_t>* candidates);
-  /// Shared constructor tail (config validation, pool + threads).
-  void Init();
+  /// One shard thread: pull a micro-batch, score it, repeat until stopped
+  /// with an empty queue.
+  void ShardLoop();
+  /// Score one pulled micro-batch on the calling shard: enforce deadlines,
+  /// then hand the surviving queries to `snapshot` as one LinkBatch
+  /// workload and resolve every promise.
+  void ScoreBatch(std::vector<PendingRequest>& batch,
+                  const std::shared_ptr<const ModelSnapshot>& snapshot,
+                  std::chrono::steady_clock::time_point pulled);
   void StopInternal(bool fail_queued);
   void PublishQueueDepthLocked();
 
-  /// Exactly one of these is set: registry_ for the single-tenant
-  /// constructor, tenants_ for the multi-tenant one.
-  SnapshotRegistry* registry_ = nullptr;
-  TenantRegistry* tenants_ = nullptr;
+  TenantRegistry* const tenants_;
   const ServeConfig config_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_work_;   ///< dispatcher: queue non-empty / stop
+  std::condition_variable cv_work_;   ///< shards: queue non-empty / stop
   std::condition_variable cv_space_;  ///< blocked submitters: space freed
-  std::condition_variable cv_idle_;   ///< stop: queue empty + batch done
   std::deque<PendingRequest> queue_;
-  bool accepting_ = true;
-  bool stopping_ = false;
-  bool dispatch_busy_ = false;
+  bool stopping_ = false;  ///< admission closed; shards exit on empty queue
   size_t max_queue_depth_ = 0;
   /// Tenant id -> accounting state; entries are created on first use and
   /// never erased (PendingRequest holds raw pointers into the values).
@@ -338,13 +306,11 @@ class LinkingService {
   bool stopped_ = false;   ///< guarded by stop_mutex_
 
   /// SLO machinery (null when config_.slo.enabled is off). The watchdog's
-  /// probe reads this service, so both stop before the dispatcher's state
-  /// is torn down.
+  /// probe reads this service, so it stops before the service is torn down.
   std::unique_ptr<SlowRequestLog> slow_log_;
   std::unique_ptr<SloWatchdog> slo_;
 
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread dispatcher_;
+  std::vector<std::thread> shards_;
 };
 
 }  // namespace ncl::serve

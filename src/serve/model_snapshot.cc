@@ -115,20 +115,21 @@ std::shared_ptr<const ModelSnapshot> TenantRegistry::Current(
   return registry->Current();
 }
 
-SnapshotRegistry* TenantRegistry::registry(std::string_view tenant) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    it = tenants_
-             .emplace(std::string(tenant), std::make_unique<SnapshotRegistry>())
-             .first;
-  }
-  return it->second.get();
-}
-
 uint64_t TenantRegistry::Publish(std::string_view tenant,
                                  std::shared_ptr<ModelSnapshot> snapshot) {
-  return registry(tenant)->Publish(std::move(snapshot));
+  SnapshotRegistry* registry = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = tenants_.find(tenant);
+    if (it == tenants_.end()) {
+      it = tenants_
+               .emplace(std::string(tenant),
+                        std::make_unique<SnapshotRegistry>())
+               .first;
+    }
+    registry = it->second.get();
+  }
+  return registry->Publish(std::move(snapshot));
 }
 
 uint64_t TenantRegistry::current_version(std::string_view tenant) const {

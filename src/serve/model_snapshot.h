@@ -179,10 +179,9 @@ inline constexpr std::string_view kDefaultTenant = "default";
 /// sequence, so a feedback loop can hot-swap one ontology's model without
 /// touching its neighbours. Lookup of an unknown tenant is not an error at
 /// this layer: Current returns null (the service fails the request with
-/// FailedPrecondition, exactly like a pre-Publish single-tenant registry)
-/// and current_version returns 0. Registries are created on first Publish
-/// and never removed, so a pointer returned by registry() stays valid for
-/// the TenantRegistry's lifetime.
+/// FailedPrecondition) and current_version returns 0. Registries are
+/// created on first Publish and never removed, so a tenant's registry may
+/// be used after the map lock is released.
 class TenantRegistry {
  public:
   TenantRegistry() = default;
@@ -210,11 +209,6 @@ class TenantRegistry {
 
   /// Ids of every tenant that has published, sorted.
   std::vector<std::string> Tenants() const;
-
-  /// The per-tenant registry, created on demand. The pointer stays valid
-  /// for this TenantRegistry's lifetime; use it to hand a legacy
-  /// single-registry API one tenant's publication point.
-  SnapshotRegistry* registry(std::string_view tenant);
 
  private:
   mutable std::mutex mutex_;

@@ -14,12 +14,12 @@
 //     increments the violation counters and logs one structured warning.
 //
 //   * The stall detector watches dispatch progress through a caller-supplied
-//     probe (queue depth, queue capacity, completed batches). A queue pinned
-//     at capacity while the batch counter stays frozen for
-//     `stall_deadline_multiple` consecutive checks means the dispatcher or
-//     every shard is wedged — the strongest signal available without
-//     preempting threads — and logs a structured `slo_stall` warning plus
-//     the `ncl.serve.slo.stalls` counter.
+//     probe (queue depth, queue capacity, shard pulls). A queue pinned at
+//     capacity while the pull counter stays frozen for
+//     `stall_deadline_multiple` consecutive checks means every shard is
+//     wedged — the strongest signal available without preempting threads —
+//     and logs a structured `slo_stall` warning plus the
+//     `ncl.serve.slo.stalls` counter.
 //
 //   * SlowRequestLog keeps the N slowest completed requests with their full
 //     stage breakdown (RequestTimings) and query text. The hot-path Offer is
@@ -55,8 +55,8 @@ namespace ncl::serve {
 /// by the slow-request log. (Defined here, below LinkingService in the
 /// dependency order, so slo.h need not include linking_service.h.)
 struct RequestTimings {
-  double queue_wait_us = 0.0;  ///< admission -> dispatcher drained it
-  double batch_form_us = 0.0;  ///< drained -> shard began the slice
+  double queue_wait_us = 0.0;  ///< admission -> a shard pulled it
+  double batch_form_us = 0.0;  ///< pulled -> the shard began scoring
   double candgen_us = 0.0;     ///< Phase I: rewrite + candidate retrieval
   double ed_us = 0.0;          ///< Phase II: encode-decode scoring share
   double rank_us = 0.0;        ///< ranking
@@ -140,7 +140,7 @@ class SloWatchdog {
   struct Probe {
     size_t queue_depth = 0;
     size_t queue_capacity = 0;
-    uint64_t batches = 0;  ///< completed dispatch ticks
+    uint64_t batches = 0;  ///< micro-batches pulled by the shards
   };
 
   /// \param probe called from the watchdog thread each check; must be

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 
 #include "comaid/trainer.h"
 
@@ -80,6 +82,57 @@ TEST(ModelIoTest, ChangedOntologyDetected) {
   auto loaded = LoadModel(path, &other);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+  std::remove((path + ".params").c_str());
+}
+
+// A checkpoint whose counts are forged must fail with a Status before
+// anything is allocated for them — never abort the process (a vocabulary
+// count of 2^60 used to throw std::length_error out of LoadModel).
+TEST(ModelIoTest, ForgedCountsFailWithStatus) {
+  ontology::Ontology onto = MakeOntology();
+  ComAidConfig config;
+  config.dim = 8;
+  ComAidModel model(config, &onto, {{"ckd", "5"}});
+  const std::string path = testing::TempDir() + "/ncl_model_io_forged_test.bin";
+
+  constexpr uint64_t kHuge = uint64_t{1} << 60;
+  struct Forgery {
+    const char* what;
+    const char* suffix;  ///< which file: "" = model.bin, ".params" = weights
+    std::streamoff offset;
+    uint64_t value;
+  };
+  // model.bin: magic, version (u32 each), dim @8, beta @16, two u32 flags,
+  // seed @32, vocab count @40, first word's length @48. .params: magic,
+  // version, parameter count @8, first name's length @16.
+  const Forgery forgeries[] = {
+      {"vocab count", "", 40, kHuge},
+      {"word length", "", 48, kHuge},
+      {"param count", ".params", 8, kHuge},
+      {"name length", ".params", 16, kHuge},
+      {"zero dim", "", 8, 0},
+      {"dim beyond the weights", "", 8, uint64_t{1} << 32},
+      {"huge dim", "", 8, kHuge},
+      {"beta beyond int32", "", 16, kHuge},
+  };
+  for (const Forgery& forgery : forgeries) {
+    SCOPED_TRACE(forgery.what);
+    ASSERT_TRUE(SaveModel(model, path).ok());
+    {
+      std::fstream file(path + forgery.suffix,
+                        std::ios::binary | std::ios::in | std::ios::out);
+      ASSERT_TRUE(file.is_open());
+      file.seekp(forgery.offset);
+      file.write(reinterpret_cast<const char*>(&forgery.value),
+                 sizeof(forgery.value));
+      ASSERT_TRUE(file.good());
+    }
+    auto loaded = LoadModel(path, &onto);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError)
+        << loaded.status().ToString();
+  }
   std::remove(path.c_str());
   std::remove((path + ".params").c_str());
 }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
 
 namespace ncl::pretrain {
 namespace {
@@ -75,6 +80,45 @@ TEST(WordEmbeddingsTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded->vocabulary().CountOf(0), 5u);
   EXPECT_FLOAT_EQ(loaded->VectorOf(2)[0], 0.9f);
   EXPECT_NEAR(loaded->Cosine(0, 2), emb.Cosine(0, 2), 1e-9);
+  std::remove(path.c_str());
+}
+
+// A forged file must fail with a Status before anything is allocated for
+// its counts, and a repeated word must not reach the row-count check that
+// aborts.
+TEST(WordEmbeddingsTest, ForgedFileFailsWithStatus) {
+  const std::string path = testing::TempDir() + "/ncl_embeddings_forged.bin";
+  ASSERT_TRUE(MakeToyEmbeddings().Save(path).ok());
+  std::string saved;
+  {
+    std::ifstream in(path, std::ios::binary);
+    saved.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  auto u64 = [](uint64_t v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  // Layout: u32 magic, u64 count @4, u64 width @12, then per word a u64
+  // length (@20 for "right"), its bytes, a u64 frequency and width floats;
+  // "up" is the 26-byte entry at @49.
+  constexpr uint64_t kHuge = uint64_t{1} << 60;
+  const std::string up = saved.substr(49, 8 + 2 + 8 + 2 * sizeof(float));
+  const std::pair<const char*, std::string> forgeries[] = {
+      {"word count", std::string(saved).replace(4, 8, u64(kHuge))},
+      {"width", std::string(saved).replace(12, 8, u64(kHuge))},
+      {"word length", std::string(saved).replace(20, 8, u64(kHuge))},
+      {"repeated word", saved.substr(0, 4) + u64(2) + u64(2) + up + up},
+  };
+  for (const auto& [what, bytes] : forgeries) {
+    SCOPED_TRACE(what);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    auto loaded = WordEmbeddings::Load(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError)
+        << loaded.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

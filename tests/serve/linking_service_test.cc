@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -45,12 +46,42 @@ class FakeSnapshot : public ModelSnapshot {
   mutable std::atomic<uint64_t> calls_{0};
 };
 
+/// Snapshot whose Link blocks until Release(); entered() counts the
+/// requests that reached it, i.e. passed their shard's deadline check.
+class GatedSnapshot : public ModelSnapshot {
+ public:
+  std::vector<linking::ScoredCandidate> Link(
+      const std::vector<std::string>& query) const override {
+    entered_.fetch_add(1, std::memory_order_relaxed);
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return open_; });
+    return {linking::ScoredCandidate{
+        static_cast<ontology::ConceptId>(query.size()), -1.0, 1.0}};
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  uint64_t entered() const { return entered_.load(std::memory_order_relaxed); }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  bool open_ = false;
+  mutable std::atomic<uint64_t> entered_{0};
+};
+
 std::vector<std::string> Query(size_t words = 2) {
   return std::vector<std::string>(words, "anemia");
 }
 
 TEST(LinkingServiceTest, NoSnapshotFailsPrecondition) {
-  SnapshotRegistry registry;
+  TenantRegistry registry;
   LinkingService service(&registry);
   LinkResult result = service.Link(Query());
   EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
@@ -58,8 +89,8 @@ TEST(LinkingServiceTest, NoSnapshotFailsPrecondition) {
 }
 
 TEST(LinkingServiceTest, ServesRequestsWithTimingsAndVersion) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>());
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>());
   LinkingService service(&registry);
 
   LinkResult result = service.Link(Query(3));
@@ -78,9 +109,9 @@ TEST(LinkingServiceTest, ServesRequestsWithTimingsAndVersion) {
 }
 
 TEST(LinkingServiceTest, MicroBatchFansOutAcrossShards) {
-  SnapshotRegistry registry;
+  TenantRegistry registry;
   auto snapshot = std::make_shared<FakeSnapshot>(2ms);
-  registry.Publish(snapshot);
+  registry.Publish(kDefaultTenant, snapshot);
   ServeConfig config;
   config.num_shards = 4;
   config.max_batch = 8;
@@ -92,14 +123,14 @@ TEST(LinkingServiceTest, MicroBatchFansOutAcrossShards) {
   for (size_t i = 0; i < kRequests; ++i) futures.push_back(service.SubmitLink(Query()));
   for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
   EXPECT_EQ(snapshot->calls(), kRequests);
-  // The burst cannot have been served one-at-a-time: with 4 shards and
-  // batches of up to 8, far fewer ticks than requests are needed.
+  // The burst cannot have been served one-at-a-time: with 4 shards pulling
+  // up to 2 requests each, far fewer pulls than requests are needed.
   EXPECT_LT(service.stats().batches, kRequests);
 }
 
 TEST(LinkingServiceTest, RejectPolicyBoundsQueueDepth) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(5ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(5ms));
   ServeConfig config;
   config.queue_capacity = 4;
   config.policy = OverloadPolicy::kReject;
@@ -131,8 +162,8 @@ TEST(LinkingServiceTest, RejectPolicyBoundsQueueDepth) {
 }
 
 TEST(LinkingServiceTest, ShedOldestEvictsStalestRequest) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(5ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(5ms));
   ServeConfig config;
   config.queue_capacity = 2;
   config.policy = OverloadPolicy::kShedOldest;
@@ -162,8 +193,8 @@ TEST(LinkingServiceTest, ShedOldestEvictsStalestRequest) {
 }
 
 TEST(LinkingServiceTest, QueueWaitPastDeadlineFailsDeadlineExceeded) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(20ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(20ms));
   ServeConfig config;
   config.max_batch = 1;
   config.num_shards = 1;
@@ -191,25 +222,39 @@ TEST(LinkingServiceTest, QueueWaitPastDeadlineFailsDeadlineExceeded) {
 }
 
 TEST(LinkingServiceTest, DefaultDeadlineAppliesToEveryRequest) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(20ms));
+  TenantRegistry registry;
+  auto gate = std::make_shared<GatedSnapshot>();
+  registry.Publish(kDefaultTenant, gate);
   ServeConfig config;
   config.max_batch = 1;
   config.num_shards = 1;
-  config.default_deadline = 1ms;
+  config.default_deadline = 100ms;
   LinkingService service(&registry, config);
 
+  // Once the head is inside Link it has passed its deadline check, and it
+  // holds the only shard until the gate opens.
   std::future<LinkResult> head = service.SubmitLink(Query());
-  std::future<LinkResult> second = service.SubmitLink(Query());
-  // head is dispatched immediately (within its deadline); second waits
-  // ~20ms behind it and blows the 1ms default.
+  for (int i = 0; i < 5000 && gate->entered() < 1; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(gate->entered(), 1u);
+  // Requests queued behind it carry no deadline of their own, so the
+  // default applies; they wait past it before the shard is free.
+  std::vector<std::future<LinkResult>> queued;
+  for (int i = 0; i < 3; ++i) queued.push_back(service.SubmitLink(Query()));
+  std::this_thread::sleep_for(150ms);
+  gate->Release();
+
   EXPECT_TRUE(head.get().status.ok());
-  EXPECT_EQ(second.get().status.code(), StatusCode::kDeadlineExceeded);
+  for (auto& f : queued) {
+    EXPECT_EQ(f.get().status.code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_EQ(service.stats().deadline_exceeded, queued.size());
 }
 
 TEST(LinkingServiceTest, BlockPolicyCompletesEverythingWithoutLoss) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(1ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(1ms));
   ServeConfig config;
   config.queue_capacity = 2;
   config.policy = OverloadPolicy::kBlock;
@@ -237,8 +282,8 @@ TEST(LinkingServiceTest, BlockPolicyCompletesEverythingWithoutLoss) {
 }
 
 TEST(LinkingServiceTest, DrainServesQueuedThenRefusesNewWork) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(1ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(1ms));
   ServeConfig config;
   config.max_batch = 2;
   config.num_shards = 2;
@@ -255,8 +300,8 @@ TEST(LinkingServiceTest, DrainRacingConcurrentSubmitsResolvesEveryFuture) {
   // Drain from one thread while several submitters hammer SubmitLink: every
   // future must resolve — completed or Unavailable — and never hang. Run
   // under TSan in CI; this is the race the net::Server drain path leans on.
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(200us));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(200us));
   ServeConfig config;
   config.max_batch = 4;
   config.num_shards = 2;
@@ -298,8 +343,8 @@ TEST(LinkingServiceTest, DrainRacingConcurrentSubmitsResolvesEveryFuture) {
 }
 
 TEST(LinkingServiceTest, ShutdownFailsQueuedRequests) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(10ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(10ms));
   ServeConfig config;
   config.max_batch = 1;
   config.num_shards = 1;
@@ -323,8 +368,8 @@ TEST(LinkingServiceTest, ShutdownFailsQueuedRequests) {
   EXPECT_GT(unavailable, 0u);
 }
 
-/// Snapshot that records LinkBatch slice sizes (the service's shard slices
-/// call LinkBatch, not per-query Link).
+/// Snapshot that records LinkBatch slice sizes (each shard pull calls
+/// LinkBatch, not per-query Link).
 class BatchRecordingSnapshot : public FakeSnapshot {
  public:
   using FakeSnapshot::FakeSnapshot;
@@ -349,9 +394,9 @@ class BatchRecordingSnapshot : public FakeSnapshot {
 };
 
 TEST(LinkingServiceTest, ShardSlicesScoreAsLinkBatchWorkloads) {
-  SnapshotRegistry registry;
+  TenantRegistry registry;
   auto snapshot = std::make_shared<BatchRecordingSnapshot>(1ms);
-  registry.Publish(snapshot);
+  registry.Publish(kDefaultTenant, snapshot);
   ServeConfig config;
   config.num_shards = 2;
   config.max_batch = 8;
@@ -382,55 +427,24 @@ TEST(LinkingServiceTest, ShardSlicesScoreAsLinkBatchWorkloads) {
   EXPECT_GT(multi, 0u);
 }
 
-TEST(LinkingServiceTest, AdaptiveBatchServesBurstsAndPublishesGauge) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(1ms));
-  ServeConfig config;
-  config.adaptive_batch = true;
-  config.min_batch = 2;
-  config.max_batch = 8;
-  config.num_shards = 2;
-  LinkingService service(&registry, config);
-
-  std::vector<std::future<LinkResult>> futures;
-  for (size_t i = 0; i < 24; ++i) futures.push_back(service.SubmitLink(Query()));
-  for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
-  // Backlogged ticks must grow past one-request batches.
-  EXPECT_LT(service.stats().batches, 24u);
-  obs::Gauge* gauge = obs::MetricsRegistry::Global().GetGauge(
-      "ncl.serve.effective_max_batch");
-  EXPECT_GE(gauge->value(), static_cast<double>(config.min_batch));
-  EXPECT_LE(gauge->value(), static_cast<double>(config.max_batch));
-}
-
-TEST(LinkingServiceTest, AdaptiveBatchRejectsBadBounds) {
-  SnapshotRegistry registry;
-  ServeConfig config;
-  config.adaptive_batch = true;
-  config.min_batch = 9;
-  config.max_batch = 8;
-  EXPECT_DEATH(LinkingService(&registry, config),
-               "min_batch <= max_batch");
-}
-
 TEST(LinkingServiceTest, CandidatesPerBatchHistogramCountsScoredCandidates) {
   obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
       "ncl.serve.candidates_per_batch");
   const uint64_t count_before = histogram->Stats().count;
 
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>());
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>());
   LinkingService service(&registry);
   EXPECT_TRUE(service.Link(Query()).status.ok());
   service.Drain();
 
-  // The tick recorded its candidate total (the fake returns 1 per query).
+  // The pull recorded its candidate total (the fake returns 1 per query).
   EXPECT_GT(histogram->Stats().count, count_before);
 }
 
 TEST(LinkingServiceTest, HotSwapVersionsAreMonotonePerSubmissionOrder) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(500us));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(500us));
   ServeConfig config;
   config.max_batch = 2;
   config.num_shards = 2;
@@ -439,15 +453,17 @@ TEST(LinkingServiceTest, HotSwapVersionsAreMonotonePerSubmissionOrder) {
   std::vector<std::future<LinkResult>> futures;
   for (int i = 0; i < 12; ++i) {
     futures.push_back(service.SubmitLink(Query()));
-    if (i == 5) registry.Publish(std::make_shared<FakeSnapshot>(500us));
+    if (i == 5) {
+      registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(500us));
+    }
   }
   uint64_t last = 0;
   for (auto& f : futures) {
     LinkResult r = f.get();
     ASSERT_TRUE(r.status.ok());
     EXPECT_TRUE(r.snapshot_version == 1 || r.snapshot_version == 2);
-    // Batches are FIFO and pin the snapshot at dispatch, so versions never
-    // go backwards in submission order.
+    // Pulls are FIFO and pin the snapshot under the queue lock, so versions
+    // never go backwards in submission order.
     EXPECT_GE(r.snapshot_version, last);
     last = r.snapshot_version;
   }
@@ -458,8 +474,8 @@ TEST(LinkingServiceTest, HotSwapVersionsAreMonotonePerSubmissionOrder) {
 }
 
 TEST(LinkingServiceTest, AssignsRequestIdsAndStageTimings) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(1ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(1ms));
   LinkingService service(&registry);
 
   LinkResult first = service.Link(Query());
@@ -480,7 +496,7 @@ TEST(LinkingServiceTest, AssignsRequestIdsAndStageTimings) {
 }
 
 TEST(LinkingServiceTest, FailedRequestsStillCarryTheirRequestId) {
-  SnapshotRegistry registry;  // no snapshot published
+  TenantRegistry registry;  // no snapshot published
   LinkingService service(&registry);
   LinkResult result = service.Link(Query());
   EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
@@ -496,8 +512,8 @@ TEST(LinkingServiceTest, FailedRequestsStillCarryTheirRequestId) {
 TEST(LinkingServiceTest, TracedRequestExportsConnectedFlowEvents) {
   obs::SetTracingEnabled(false);
   obs::ClearTrace();
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>());
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>());
   LinkingService service(&registry);
 
   obs::SetTracingEnabled(true);
@@ -537,8 +553,8 @@ TEST(LinkingServiceTest, TracedRequestExportsConnectedFlowEvents) {
 TEST(LinkingServiceTest, DisabledTracingEmitsNoServeSpans) {
   obs::SetTracingEnabled(false);
   obs::ClearTrace();
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>());
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>());
   LinkingService service(&registry);
   EXPECT_TRUE(service.Link(Query()).status.ok());
   service.Drain();
@@ -548,16 +564,16 @@ TEST(LinkingServiceTest, DisabledTracingEmitsNoServeSpans) {
 }
 
 TEST(LinkingServiceTest, SloDisabledByDefaultConstructsNoWatchdog) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>());
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>());
   LinkingService service(&registry);
   EXPECT_EQ(service.slo_watchdog(), nullptr);
   EXPECT_TRUE(service.slow_requests().empty());
 }
 
 TEST(LinkingServiceTest, SloWatchdogAndSlowLogCaptureServedTraffic) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(2ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(2ms));
   ServeConfig config;
   config.slo.enabled = true;
   config.slo.slow_log_n = 4;

@@ -57,8 +57,8 @@ class SaltedSnapshot : public ModelSnapshot {
 };
 
 /// Snapshot whose Link blocks until Release(): pins requests in the
-/// admission queue deterministically (the dispatcher is stuck in
-/// ParallelFor while the gate is closed).
+/// admission queue deterministically (a one-shard service's only shard is
+/// stuck in Link while the gate is closed).
 class GatedSnapshot : public ModelSnapshot {
  public:
   std::vector<linking::ScoredCandidate> Link(
@@ -98,8 +98,8 @@ RequestOptions Tenant(const std::string& ontology) {
   return options;
 }
 
-/// Spin until `snapshot` has absorbed `n` requests (the dispatcher drained
-/// them out of the admission queue into the gated scorer).
+/// Spin until `snapshot` has absorbed `n` requests (a shard pulled them out
+/// of the admission queue into the gated scorer).
 void WaitForEntered(const GatedSnapshot& snapshot, uint64_t n) {
   for (int i = 0; i < 2000 && snapshot.entered() < n; ++i) {
     std::this_thread::sleep_for(1ms);
@@ -158,20 +158,6 @@ TEST(TenantServiceTest, OntologySelectsTenantModel) {
   EXPECT_EQ(stats.tenants.at("snomed").completed, 0u);
 }
 
-TEST(TenantServiceTest, LegacyServiceRejectsNamedOntology) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<SaltedSnapshot>(1));
-  LinkingService service(&registry);
-
-  // The default tenant (empty ontology) serves as before...
-  EXPECT_TRUE(service.Link(Query()).status.ok());
-  // ...but naming any ontology on a single-registry service is NotFound.
-  LinkResult named = service.Link(Query(), Tenant("icd10"));
-  EXPECT_EQ(named.status.code(), StatusCode::kNotFound);
-  EXPECT_NE(named.status.message().find("icd10"), std::string::npos);
-  EXPECT_EQ(service.stats().tenants.count("icd10"), 0u);
-}
-
 TEST(TenantServiceTest, QuotaShedsOnlyTheOffendingTenant) {
   TenantRegistry registry;
   auto gate = std::make_shared<GatedSnapshot>();
@@ -185,7 +171,7 @@ TEST(TenantServiceTest, QuotaShedsOnlyTheOffendingTenant) {
   config.max_batch = 1;
   LinkingService service(&registry, config);
 
-  // First request enters the (closed) gate, occupying the dispatcher.
+  // First request enters the (closed) gate, occupying the only shard.
   auto in_flight = service.SubmitLink(Query(), Tenant("icd9"));
   WaitForEntered(*gate, 1);
 
@@ -266,11 +252,11 @@ TEST(TenantServiceTest, MixedServiceBitIdenticalToIsolatedServices) {
   config.max_batch = 8;
   LinkingService mixed(&mixed_registry, config);
 
-  SnapshotRegistry nine_registry;
-  nine_registry.Publish(nine);
+  TenantRegistry nine_registry;
+  nine_registry.Publish(kDefaultTenant, nine);
   LinkingService nine_only(&nine_registry, config);
-  SnapshotRegistry ten_registry;
-  ten_registry.Publish(ten);
+  TenantRegistry ten_registry;
+  ten_registry.Publish(kDefaultTenant, ten);
   LinkingService ten_only(&ten_registry, config);
 
   constexpr size_t kQueries = 48;

@@ -26,7 +26,7 @@
 //   ncl serve-eval <dir> [--k K] [--shards N] [--clients C] [--max-batch B]
 //       Same eval set, but through the ncl::serve LinkingService: the model
 //       is published as a snapshot and C closed-loop client threads stream
-//       the queries through the micro-batching scheduler. Reports accuracy,
+//       the queries through the micro-batching shards. Reports accuracy,
 //       MRR, throughput and the ncl.serve admission counters.
 //       --slow-log-n <N> additionally enables the SLO watchdog for the run
 //       and prints the rolling-window report plus the N slowest requests
@@ -654,8 +654,8 @@ int CmdServeEval(const std::vector<std::string>& args,
   // and outlives the service, so the snapshot aliases without deleting.
   linking::NclConfig link_config = serve::NclSnapshot::MakeServingConfig();
   link_config.k = static_cast<size_t>(FlagInt(flags, "k", 20));
-  serve::SnapshotRegistry registry;
-  registry.Publish(MakeSnapshot(**serving, link_config));
+  serve::TenantRegistry registry;
+  registry.Publish(serve::kDefaultTenant, MakeSnapshot(**serving, link_config));
 
   serve::ServeConfig serve_config;
   serve_config.num_shards = static_cast<size_t>(FlagInt(flags, "shards", 4));
