@@ -11,11 +11,9 @@
 // more postings walked); hospital-x is slower than MIMIC-III because its
 // canonical descriptions are longer.
 //
-// This bench additionally compares the tape-free inference fast path
-// (cached concept encodings + zero-allocation decoder, the serving
-// configuration) against the reference tape-based scorer, and emits the
-// whole sweep as machine-readable BENCH_fig11.json so the perf trajectory
-// is tracked across PRs.
+// ED runs the linker's only Phase-II scorer (the batched tape-free one,
+// with cached concept encodings). The whole sweep is emitted as
+// machine-readable BENCH_fig11.json.
 
 #include <algorithm>
 #include <iostream>
@@ -94,41 +92,31 @@ int main() {
     json.Key("dim").Value(config.dim);
     json.Key("num_queries").Value(queries.size());
 
-    // --- (a, b): vary k, fast path vs tape path. ---------------------------
+    // --- (a, b): vary k. ---------------------------------------------------
     TableWriter table_k("Fig 11(a/b)  Per-query time vs k [us], " +
-                            CorpusName(corpus) + " (fast | tape ED)",
-                        {"k", "OR", "CR", "ED", "RT", "total", "ED tape",
-                         "ED speedup"});
+                            CorpusName(corpus),
+                        {"k", "OR", "CR", "ED", "RT", "total"});
     json.Key("vs_k").BeginArray();
     for (size_t k : {10u, 20u, 30u, 40u, 50u}) {
       linking::NclConfig link_config;
       link_config.k = k;
       link_config.scoring_threads = 10;  // Appendix B.1 thread count
-      link_config.use_fast_scoring = true;
-      linking::NclLinker fast_linker = pipeline->MakeLinker(link_config);
-      linking::PhaseTimings fast = MeanTimings(fast_linker, queries);
-
-      link_config.use_fast_scoring = false;
-      linking::NclLinker tape_linker = pipeline->MakeLinker(link_config);
-      linking::PhaseTimings tape = MeanTimings(tape_linker, queries);
-
-      double speedup = fast.score_us > 0 ? tape.score_us / fast.score_us : 0.0;
+      linking::NclLinker linker = pipeline->MakeLinker(link_config);
+      linking::PhaseTimings t = MeanTimings(linker, queries);
       table_k.AddRow(std::to_string(k),
-                     {fast.rewrite_us, fast.retrieve_us, fast.score_us,
-                      fast.rank_us, fast.total_us(), tape.score_us, speedup},
+                     {t.rewrite_us, t.retrieve_us, t.score_us, t.rank_us,
+                      t.total_us()},
                      1);
 
       json.BeginObject();
       json.Key("k").Value(k);
-      EmitTimings(json, "fast", fast);
-      EmitTimings(json, "tape", tape);
-      json.Key("ed_speedup").Value(speedup);
+      EmitTimings(json, "timings", t);
       json.EndObject();
     }
     json.EndArray();
     table_k.Print();
 
-    // --- (c, d): vary |q| (fast path). ------------------------------------
+    // --- (c, d): vary |q|. --------------------------------------------------
     TableWriter table_q("Fig 11(c/d)  Per-query time vs |q| [us], " +
                             CorpusName(corpus),
                         {"|q|", "OR", "CR", "ED", "RT", "total"});
@@ -155,7 +143,7 @@ int main() {
                      1);
       json.BeginObject();
       json.Key("query_length").Value(len);
-      EmitTimings(json, "fast", t);
+      EmitTimings(json, "timings", t);
       json.EndObject();
     }
     json.EndArray();
@@ -171,7 +159,6 @@ int main() {
       linking::NclConfig link_config;
       link_config.k = 20;
       link_config.scoring_threads = 10;
-      link_config.use_fast_scoring = true;
       linking::NclLinker linker = pipeline->MakeLinker(link_config);
       MeanTimings(linker, queries);  // warm up caches and pool
 

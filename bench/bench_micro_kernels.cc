@@ -89,7 +89,7 @@ void BM_GemmNT(benchmark::State& state) {
 BENCHMARK(BM_GemmNT)->Args({128, 128})->Args({1000, 128})->Args({1000, 256});
 
 void BM_LstmStepValue(benchmark::State& state) {
-  // Tape-free LSTM step (inference fast path) — compare with BM_LstmStep.
+  // Tape-free LSTM step (concept encoding) — compare with BM_LstmStep.
   const size_t d = static_cast<size_t>(state.range(0));
   Rng rng(2);
   nn::ParameterStore store;

@@ -4,7 +4,7 @@
 // Three measurements, emitted as BENCH_serve.json:
 //
 //   * serial: one caller looping NclLinker::LinkDetailed on one thread. (A
-//     linker pool would not help here: at k = 20 < ed_batch_lanes = 32 a
+//     linker pool would not help here: at k = 20 < kDefaultScoreLanes = 32 a
 //     query's candidates fill a single lock-step tile, which scores on the
 //     calling thread.)
 //   * service: the micro-batched LinkingService with T single-threaded

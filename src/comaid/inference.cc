@@ -1,18 +1,12 @@
-// Tape-free inference fast path (see comaid/inference.h).
-//
-// ScoreLogProbFast mirrors ComAidModel::Forward step for step, but on raw
-// Matrix values: no tape nodes, no backward closures, no per-step heap
-// allocations. Parity with the tape path is pinned to 1e-5 in
-// tests/comaid/inference_test.cc; keep the float/double accumulation
-// choices below in sync with tape.cc when touching either.
+// Concept-encoding cache and tape-free concept encoding (see
+// comaid/inference.h). The decoder loop that consumes the encodings lives in
+// batch_inference.cc.
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <atomic>
 #include <unordered_map>
 
 #include "comaid/model.h"
-#include "nn/vecmath.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -34,51 +28,7 @@ const ConceptCacheMetrics& GetConceptCacheMetrics() {
   return metrics;
 }
 
-/// Fused dot-product attention on values (Eqs. 5-7). Defined here, declared
-/// in inference.h: the batched scorer (batch_inference.cc) runs the same
-/// routine per lane so single and batched attention are identical.
-void AttentionInto(const nn::Matrix& values, const float* key, float* scores,
-                   float* out) {
-  const size_t n = values.rows();
-  const size_t d = values.cols();
-  values.MatVecInto(key, scores);  // e_r = v_r . s
-
-  float max_score = -std::numeric_limits<float>::infinity();
-  for (size_t r = 0; r < n; ++r) max_score = std::max(max_score, scores[r]);
-  nn::ExpShiftedInplace(scores, n, max_score);
-  float denom = 0.0f;
-  for (size_t r = 0; r < n; ++r) denom += scores[r];
-  const float inv_denom = 1.0f / denom;
-
-  std::fill(out, out + d, 0.0f);
-  for (size_t r = 0; r < n; ++r) {
-    const float alpha = scores[r] * inv_denom;
-    const float* row = values.row_data(r);
-    for (size_t j = 0; j < d; ++j) out[j] += alpha * row[j];
-  }
-}
-
-double CrossEntropyValue(const float* logits, size_t vocab, int32_t gold) {
-  float max_logit = -std::numeric_limits<float>::infinity();
-  for (size_t i = 0; i < vocab; ++i) max_logit = std::max(max_logit, logits[i]);
-  double denom = nn::SumExpShifted(logits, vocab, max_logit);
-  double log_denom = std::log(denom) + static_cast<double>(max_logit);
-  return log_denom - static_cast<double>(logits[static_cast<size_t>(gold)]);
-}
-
 }  // namespace internal
-
-namespace {
-using internal::AttentionInto;
-using internal::CrossEntropyValue;
-}  // namespace
-
-size_t ComAidModel::CompositePieces() const {
-  size_t pieces = 1;
-  if (config_.text_attention) ++pieces;
-  if (config_.structural_attention) ++pieces;
-  return pieces;
-}
 
 void ComAidModel::ComputeConceptEncoding(ontology::ConceptId concept_id,
                                          ConceptEncoding* out) const {
@@ -103,32 +53,32 @@ void ComAidModel::ComputeConceptEncoding(ontology::ConceptId concept_id,
   // Structural context (Def. 4.1): final encoder states of the ancestors,
   // with duplicate slots kept so the attention softmax matches the tape
   // path's repeated values.
+  // Def. 4.1 pads the context to exactly beta >= 1 slots, so under
+  // structural attention every concept has ancestor rows.
   out->ancestors = nn::Matrix();
-  if (config_.structural_attention && config_.beta > 0) {
+  if (config_.structural_attention) {
     std::vector<ontology::ConceptId> context =
         onto_->AncestorContext(concept_id, config_.beta);
-    if (!context.empty()) {
-      out->ancestors = nn::Matrix(context.size(), d);
-      std::unordered_map<ontology::ConceptId, size_t> first_row;
-      std::vector<float> h(d);
-      for (size_t r = 0; r < context.size(); ++r) {
-        float* row = out->ancestors.row_data(r);
-        auto it = first_row.find(context[r]);
-        if (it != first_row.end()) {
-          const float* src = out->ancestors.row_data(it->second);
-          std::copy(src, src + d, row);
-          continue;
-        }
-        const auto& anc_words = concept_words_[static_cast<size_t>(context[r])];
-        std::fill(h.begin(), h.end(), 0.0f);
-        std::fill(cell.begin(), cell.end(), 0.0f);
-        for (text::WordId word : anc_words) {
-          encoder_->StepValue(EmbeddingRow(word), h.data(), cell.data(),
-                              h.data(), cell.data(), scratch.data());
-        }
-        std::copy(h.begin(), h.end(), row);
-        first_row.emplace(context[r], r);
+    out->ancestors = nn::Matrix(context.size(), d);
+    std::unordered_map<ontology::ConceptId, size_t> first_row;
+    std::vector<float> h(d);
+    for (size_t r = 0; r < context.size(); ++r) {
+      float* row = out->ancestors.row_data(r);
+      auto it = first_row.find(context[r]);
+      if (it != first_row.end()) {
+        const float* src = out->ancestors.row_data(it->second);
+        std::copy(src, src + d, row);
+        continue;
       }
+      const auto& anc_words = concept_words_[static_cast<size_t>(context[r])];
+      std::fill(h.begin(), h.end(), 0.0f);
+      std::fill(cell.begin(), cell.end(), 0.0f);
+      for (text::WordId word : anc_words) {
+        encoder_->StepValue(EmbeddingRow(word), h.data(), cell.data(),
+                            h.data(), cell.data(), scratch.data());
+      }
+      std::copy(h.begin(), h.end(), row);
+      first_row.emplace(context[r], r);
     }
   }
 }
@@ -142,84 +92,6 @@ const ConceptEncoding& ComAidModel::EncodingFor(
   auto encoding = std::make_unique<ConceptEncoding>();
   ComputeConceptEncoding(concept_id, encoding.get());
   return *encoding_cache_->Put(slot, std::move(encoding));
-}
-
-double ComAidModel::ScoreLogProbFast(ontology::ConceptId concept_id,
-                                     const std::vector<text::WordId>& target,
-                                     InferenceContext* ctx) const {
-  NCL_CHECK(concept_id > 0 &&
-            static_cast<size_t>(concept_id) < concept_words_.size())
-      << "invalid concept id " << concept_id;
-
-  const ConceptEncoding& enc = EncodingFor(concept_id);
-  const size_t d = config_.dim;
-  const size_t vocab = vocab_.size();
-
-  thread_local InferenceContext local_ctx;
-  if (ctx == nullptr) ctx = &local_ctx;
-  ctx->Prepare(d, vocab, CompositePieces(),
-               std::max(enc.encoder_states.rows(), enc.ancestors.rows()));
-
-  // Decoder initial state: s_0 = h_n^c, cell = 0 (§4.1.2).
-  float* h = ctx->h();
-  float* cell = ctx->c();
-  std::copy(enc.final_state(), enc.final_state() + d, h);
-  std::fill(cell, cell + d, 0.0f);
-
-  const bool use_text = config_.text_attention;
-  const bool use_structure =
-      config_.structural_attention && enc.ancestors.rows() > 0;
-  [[maybe_unused]] const size_t composite_len =
-      (1 + (use_text ? 1 : 0) + (use_structure ? 1 : 0)) * d;
-  NCL_DCHECK(composite_len == w_d_->value.cols());
-
-  // Sum the per-word losses in float, exactly like Tape::AddScalars over
-  // float-valued SoftmaxCrossEntropy nodes, so fast and tape paths agree to
-  // float round-off rather than diverging on long targets.
-  float loss_sum = 0.0f;
-  text::WordId prev_word = bos_id_;
-  for (size_t t = 0; t <= target.size(); ++t) {
-    decoder_->StepValue(EmbeddingRow(prev_word), h, cell, h, cell,
-                        ctx->lstm_scratch());
-
-    float* composite = ctx->composite();
-    std::copy(h, h + d, composite);
-    size_t offset = d;
-    if (use_text) {
-      AttentionInto(enc.encoder_states, h, ctx->attn_scores(),
-                    composite + offset);
-      offset += d;
-    }
-    if (use_structure) {
-      AttentionInto(enc.ancestors, h, ctx->attn_scores(), composite + offset);
-      offset += d;
-    }
-
-    // s~_t = tanh(W_d [s_t; tc_t; sc_t] + b_d)  (Eq. 8)
-    float* s_tilde = ctx->s_tilde();
-    w_d_->value.MatVecInto(composite, s_tilde);
-    const float* b_d = b_d_->value.data();
-    for (size_t j = 0; j < d; ++j) s_tilde[j] += b_d[j];
-    nn::TanhInplace(s_tilde, d);
-
-    // logits = W_s s~_t + b_s  (Eq. 9)
-    float* logits = ctx->logits();
-    w_s_->value.MatVecInto(s_tilde, logits);
-    const float* b_s = b_s_->value.data();
-    for (size_t i = 0; i < vocab; ++i) logits[i] += b_s[i];
-
-    text::WordId gold = t < target.size() ? target[t] : eos_id_;
-    loss_sum += static_cast<float>(
-        CrossEntropyValue(logits, vocab, static_cast<int32_t>(gold)));
-    prev_word = gold;
-  }
-  return -static_cast<double>(loss_sum);
-}
-
-double ComAidModel::ScoreLogProbFast(
-    ontology::ConceptId concept_id,
-    const std::vector<std::string>& query_tokens) const {
-  return ScoreLogProbFast(concept_id, MapTokens(query_tokens), nullptr);
 }
 
 size_t ComAidModel::PrecomputeConceptEncodings(ThreadPool* pool) const {

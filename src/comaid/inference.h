@@ -1,10 +1,11 @@
-// Inference fast path support: the concept-encoding cache and per-thread
-// scratch for tape-free Phase II scoring (§5).
+// Inference support: the concept-encoding cache and per-thread scratch for
+// tape-free Phase II scoring (§5).
 //
 // ScoreLogProb builds a fresh autodiff tape and re-runs the LSTM encoder
 // over the candidate's canonical description for every (query, candidate)
 // pair, although concept encodings are query-independent and inference
-// never calls Backward. The fast path splits that work:
+// never calls Backward. The tape-free scorer
+// (ComAidModel::ScoreLogProbFastBatch) splits that work:
 //
 //   * ConceptEncoding holds everything about a concept that does not depend
 //     on the query: the encoder's per-step hidden states (consumed by the
@@ -13,8 +14,9 @@
 //   * ConceptEncodingCache memoises ConceptEncodings per concept, filled
 //     lazily on first use or eagerly for the whole ontology
 //     (ComAidModel::PrecomputeConceptEncodings). Readers are lock-free.
-//   * InferenceContext is reusable scratch for the decoder loop so a score
-//     evaluation performs zero heap allocations after warm-up.
+//   * BatchInferenceContext is reusable scratch for the lock-step decoder
+//     loop, so a scoring call performs no heap allocation for its
+//     activations after warm-up.
 //
 // Invalidation contract: cached encodings are functions of the encoder
 // weights. ComAidModel::NotifyWeightsChanged() (called by the trainer after
@@ -38,17 +40,6 @@ namespace ncl::comaid {
 
 namespace internal {
 
-/// Fused dot-product attention on values (Eqs. 5-7): out = sum_r alpha_r v_r
-/// with alpha = softmax(values * key). `scores` must hold values.rows()
-/// floats; `out` holds values.cols() floats and is overwritten. Shared by
-/// the single-lane and batched scorers so both produce identical values.
-void AttentionInto(const nn::Matrix& values, const float* key, float* scores,
-                   float* out);
-
-/// -log softmax(logits)[gold] with the same accumulation scheme as
-/// Tape::SoftmaxCrossEntropy (float max, double denominator).
-double CrossEntropyValue(const float* logits, size_t vocab, int32_t gold);
-
 /// Cache observability, published under `ncl.concept_cache.*`. Handles are
 /// resolved once (defined in inference.cc); every ConceptEncodingCache in
 /// the process shares them.
@@ -70,9 +61,9 @@ struct ConceptEncoding {
   /// pass e_r = h_r . s is a single matvec.
   nn::Matrix encoder_states;
   /// Structural-context representations, one row per Def. 4.1 ancestor slot
-  /// (m x d). Padded/duplicated slots keep their duplicate rows so the
+  /// (beta x d). Padded/duplicated slots keep their duplicate rows so the
   /// attention softmax matches the tape path exactly. Empty when structural
-  /// attention is off or the context is empty.
+  /// attention is off.
   nn::Matrix ancestors;
 
   /// The concept representation h_n^c (final encoder state).
@@ -148,49 +139,6 @@ class ConceptEncodingCache {
 
  private:
   std::vector<std::atomic<ConceptEncoding*>> slots_;
-};
-
-/// \brief Reusable scratch buffers for one scoring thread.
-///
-/// A context may be reused across calls and across models; Prepare()
-/// re-sizes buffers only when they grow. Not thread-safe: use one context
-/// per thread (ScoreLogProbFast falls back to a thread_local one when none
-/// is passed).
-class InferenceContext {
- public:
-  /// Ensure capacity for hidden width `dim`, vocabulary size `vocab`,
-  /// `pieces` composite blocks (Eq. 8) and attention over up to `attn_rows`
-  /// values.
-  void Prepare(size_t dim, size_t vocab, size_t pieces, size_t attn_rows) {
-    Grow(h_, dim);
-    Grow(c_, dim);
-    Grow(lstm_scratch_, 2 * dim);
-    Grow(composite_, pieces * dim);
-    Grow(s_tilde_, dim);
-    Grow(logits_, vocab);
-    Grow(attn_scores_, attn_rows);
-  }
-
-  float* h() { return h_.data(); }
-  float* c() { return c_.data(); }
-  float* lstm_scratch() { return lstm_scratch_.data(); }
-  float* composite() { return composite_.data(); }
-  float* s_tilde() { return s_tilde_.data(); }
-  float* logits() { return logits_.data(); }
-  float* attn_scores() { return attn_scores_.data(); }
-
- private:
-  static void Grow(std::vector<float>& buf, size_t n) {
-    if (buf.size() < n) buf.resize(n);
-  }
-
-  std::vector<float> h_;
-  std::vector<float> c_;
-  std::vector<float> lstm_scratch_;
-  std::vector<float> composite_;
-  std::vector<float> s_tilde_;
-  std::vector<float> logits_;
-  std::vector<float> attn_scores_;
 };
 
 /// \brief One candidate in a batched Phase-II scoring call.

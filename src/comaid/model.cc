@@ -22,6 +22,8 @@ ComAidModel::ComAidModel(ComAidConfig config, const ontology::Ontology* onto,
   NCL_CHECK(onto_ != nullptr);
   NCL_CHECK(config_.dim > 0);
   NCL_CHECK(config_.beta >= 0);
+  NCL_CHECK(!config_.structural_attention || config_.beta > 0)
+      << "structural attention needs beta >= 1";
 
   bos_id_ = vocab_.Add(kBos);
   eos_id_ = vocab_.Add(kEos);
@@ -115,7 +117,7 @@ nn::VarId ComAidModel::Forward(nn::Tape& tape, ontology::ConceptId concept_id,
 
   // --- Encode the structural context (Def. 4.1) with shared weights. ---
   std::vector<nn::VarId> ancestor_reprs;
-  if (config_.structural_attention && config_.beta > 0) {
+  if (config_.structural_attention) {
     std::unordered_map<ontology::ConceptId, nn::VarId> cache;
     for (ontology::ConceptId anc : onto_->AncestorContext(concept_id, config_.beta)) {
       auto it = cache.find(anc);
@@ -142,7 +144,7 @@ nn::VarId ComAidModel::Forward(nn::Tape& tape, ontology::ConceptId concept_id,
     if (config_.text_attention) {
       composite.push_back(tape.Attention(encoder_states, state.h));
     }
-    if (config_.structural_attention && !ancestor_reprs.empty()) {
+    if (config_.structural_attention) {
       composite.push_back(tape.Attention(ancestor_reprs, state.h));
     }
 
@@ -191,7 +193,7 @@ std::vector<double> ComAidModel::NextWordLogProbs(
   nn::VarId concept_repr = EncodeDescription(tape, words, &encoder_states);
 
   std::vector<nn::VarId> ancestor_reprs;
-  if (config_.structural_attention && config_.beta > 0) {
+  if (config_.structural_attention) {
     std::unordered_map<ontology::ConceptId, nn::VarId> cache;
     for (ontology::ConceptId anc : onto_->AncestorContext(concept_id, config_.beta)) {
       auto it = cache.find(anc);
@@ -214,7 +216,7 @@ std::vector<double> ComAidModel::NextWordLogProbs(
     if (config_.text_attention) {
       composite.push_back(tape.Attention(encoder_states, state.h));
     }
-    if (config_.structural_attention && !ancestor_reprs.empty()) {
+    if (config_.structural_attention) {
       composite.push_back(tape.Attention(ancestor_reprs, state.h));
     }
     nn::VarId merged =

@@ -43,7 +43,8 @@ struct ComAidConfig {
   /// Word-embedding and hidden width d. The paper allows them to differ but
   /// assumes equality (§6.1 fn 10); we follow suit.
   size_t dim = 50;
-  /// Structural-context depth β (Def. 4.1).
+  /// Structural-context depth β (Def. 4.1); at least 1 when
+  /// structural_attention is on (the constructor checks).
   int32_t beta = 2;
   /// Text-based attention (Eqs. 5–6). Off => COM-AID^-w family.
   bool text_attention = true;
@@ -59,14 +60,14 @@ std::string VariantName(const ComAidConfig& config);
 /// \brief The model: parameters + forward/score entry points.
 ///
 /// Thread-safety: while no weight mutation is in flight, the scoring entry
-/// points (ScoreLogProb / ScoreLogProbIds / ScoreLogProbFast / EncodeConcept
-/// / NextWordLogProbs) are safe to call concurrently. The tape paths read
-/// parameter values through private tapes; the fast path additionally shares
-/// the concept-encoding cache, whose readers are lock-free and whose lazy
-/// fills are race-safe (see ConceptEncodingCache). Weight mutation —
-/// training, InitializeEmbeddings, model loading — must be single-threaded
-/// and must not overlap any scoring call; each mutation ends with
-/// NotifyWeightsChanged(), which invalidates the encoding cache.
+/// points (ScoreLogProb / ScoreLogProbIds / ScoreLogProbFastBatch /
+/// EncodeConcept / NextWordLogProbs) are safe to call concurrently. The tape
+/// paths read parameter values through private tapes; the tape-free scorer
+/// additionally shares the concept-encoding cache, whose readers are
+/// lock-free and whose lazy fills are race-safe (see ConceptEncodingCache).
+/// Weight mutation — training, InitializeEmbeddings, model loading — must be
+/// single-threaded and must not overlap any scoring call; each mutation ends
+/// with NotifyWeightsChanged(), which invalidates the encoding cache.
 class ComAidModel {
  public:
   /// Special decoder tokens (always present in the model vocabulary).
@@ -97,7 +98,7 @@ class ComAidModel {
 
   /// \brief log p(q | c; Θ): teacher-forced log-likelihood of decoding the
   /// query from the concept (Eq. 3). Thread-safe after training. Reference
-  /// tape-based path; prefer ScoreLogProbFast in inference hot loops.
+  /// tape-based path; inference scores through ScoreLogProbFastBatch.
   double ScoreLogProb(ontology::ConceptId concept_id,
                       const std::vector<std::string>& query_tokens) const;
 
@@ -106,49 +107,35 @@ class ComAidModel {
   double ScoreLogProbIds(ontology::ConceptId concept_id,
                          const std::vector<text::WordId>& target) const;
 
-  /// \brief Tape-free log p(q | c; Θ) — the Phase II hot-loop entry point.
-  ///
-  /// Numerically equivalent to ScoreLogProbIds (within float round-off; the
-  /// parity test pins the two within 1e-5) but builds no autodiff graph and
-  /// reuses the concept's cached encoding, so the encoder runs once per
-  /// concept instead of once per (query, candidate) pair. `ctx` supplies
-  /// per-thread scratch; pass nullptr to use an internal thread_local one.
-  /// Thread-safe under the same contract as ScoreLogProb.
-  double ScoreLogProbFast(ontology::ConceptId concept_id,
-                          const std::vector<text::WordId>& target,
-                          InferenceContext* ctx = nullptr) const;
-
-  /// Convenience overload: maps tokens, then scores tape-free.
-  double ScoreLogProbFast(ontology::ConceptId concept_id,
-                          const std::vector<std::string>& query_tokens) const;
-
   /// Default lock-step width of the batched scorer: enough lanes to amortise
   /// the weight-matrix streaming, small enough that the per-step activation
   /// working set stays cache-resident.
   static constexpr size_t kDefaultScoreLanes = 32;
 
-  /// \brief Batched tape-free scoring: fill `lanes[i].log_prob` with
-  /// log p(target_i | concept_i) for every lane.
+  /// \brief Tape-free log p(q | c; Θ) — the Phase II scorer: fill
+  /// `lanes[i].log_prob` with log p(target_i | concept_i) for every lane.
   ///
-  /// Stacks up to `max_lanes` candidates per decode step into one
-  /// activation matrix, so the k independent mat-vecs of k ScoreLogProbFast
-  /// calls become GemmNT calls over the shared LSTM/composite/softmax
-  /// weights. Ragged target lengths are masked by sorting lanes longest
-  /// first and shrinking the active row prefix as short lanes emit <eos>.
-  /// Each lane computes exactly the single-lane arithmetic with the same
+  /// Builds no autodiff graph and reuses each concept's cached encoding, so
+  /// the encoder runs once per concept instead of once per (query,
+  /// candidate) pair. Stacks up to `max_lanes` candidates per decode step
+  /// into one activation matrix, so the per-candidate mat-vecs become GemmNT
+  /// calls over the shared LSTM/composite/softmax weights; one lane is
+  /// simply a one-row tile. Ragged target lengths are masked by sorting
+  /// lanes longest first and shrinking the active row prefix as short lanes
+  /// emit <eos>. Every lane computes the same arithmetic in the same
   /// canonical reduction order, so results are bit-stable under any lane
   /// order, batch composition, or `max_lanes` (pinned by tests); parity
-  /// with the tape path stays within the usual 1e-5 bounds.
+  /// with the tape path (ScoreLogProbIds) stays within 1e-5.
   ///
-  /// Thread-safe under the same contract as ScoreLogProbFast; `ctx`
-  /// supplies per-thread scratch (nullptr uses an internal thread_local).
+  /// Thread-safe under the same contract as ScoreLogProb; `ctx` supplies
+  /// per-thread scratch (nullptr uses an internal thread_local).
   void ScoreLogProbFastBatch(BatchScoreLane* lanes, size_t num_lanes,
                              BatchInferenceContext* ctx = nullptr,
                              size_t max_lanes = kDefaultScoreLanes) const;
 
   /// \brief Eagerly fill the concept-encoding cache for the whole ontology
   /// (on `pool` when given). Returns the number of encodings computed.
-  /// Optional: ScoreLogProbFast fills the cache lazily per concept.
+  /// Optional: ScoreLogProbFastBatch fills the cache lazily per concept.
   size_t PrecomputeConceptEncodings(ThreadPool* pool = nullptr) const;
 
   /// Drop all cached concept encodings (they are recomputed on demand).
@@ -209,15 +196,12 @@ class ComAidModel {
   nn::VarId Forward(nn::Tape& tape, ontology::ConceptId concept_id,
                     const std::vector<text::WordId>& target) const;
 
-  // --- Inference fast path (comaid/inference.cc) -------------------------
+  // --- Tape-free inference (comaid/inference.cc, batch_inference.cc) -----
 
   /// Row pointer into the embedding table.
   const float* EmbeddingRow(text::WordId word) const {
     return embeddings_->value.row_data(static_cast<size_t>(word));
   }
-
-  /// Number of composite blocks in Eq. 8 under this config.
-  size_t CompositePieces() const;
 
   /// Tape-free encoder pass filling `out` for one concept.
   void ComputeConceptEncoding(ontology::ConceptId concept_id,
@@ -250,8 +234,8 @@ class ComAidModel {
   /// Concept descriptions pre-mapped to model word ids.
   std::vector<std::vector<text::WordId>> concept_words_;
 
-  /// Memo of query-independent encoder work, lazily filled by the inference
-  /// fast path and cleared by NotifyWeightsChanged().
+  /// Memo of query-independent encoder work, lazily filled by the tape-free
+  /// scorer and cleared by NotifyWeightsChanged().
   mutable std::unique_ptr<ConceptEncodingCache> encoding_cache_;
   std::atomic<uint64_t> weights_version_{0};
 };

@@ -94,6 +94,12 @@ Result<std::unique_ptr<ComAidModel>> LoadModel(const std::string& path,
                            std::to_string(beta));
   }
   config.beta = static_cast<int32_t>(beta);
+  // Structural attention over an empty context has no composite block for
+  // W_d's third slice; no trained model has that shape.
+  if (config.structural_attention && config.beta == 0) {
+    return Status::IOError("corrupt checkpoint " + path +
+                           ": structural attention with beta 0");
+  }
   // The decoder's W_d alone holds dim x dim floats, the embeddings
   // vocab x dim: a dim or vocabulary the weights file cannot hold is forged
   // or corrupt, and must fail before the model allocates for it.

@@ -64,46 +64,29 @@ const std::vector<text::WordId>* BuildTarget(
   return storage;
 }
 
-/// ED core shared by LinkDetailed and LinkBatchDetailed: fill
-/// `lanes[i].log_prob` for every lane. Batched mode scores
-/// ed_batch_lanes-sized tiles (each tile one pool task, so threads and
-/// lock-step batching compose); scores are bit-identical to the unbatched
-/// fast path either way.
-void ScoreLanes(const comaid::ComAidModel& model, const NclConfig& config,
-                ThreadPool* pool, std::vector<comaid::BatchScoreLane>& lanes) {
+/// Phase-II scoring: fill `lanes[i].log_prob` for every lane in
+/// kDefaultScoreLanes-wide lock-step tiles, each tile one pool task, so
+/// threads and lock-step batching compose. Scores do not depend on the
+/// tiling or the thread count.
+void ScoreLanes(const comaid::ComAidModel& model, ThreadPool* pool,
+                std::vector<comaid::BatchScoreLane>& lanes) {
+  constexpr size_t kTile = comaid::ComAidModel::kDefaultScoreLanes;
   const size_t n = lanes.size();
-  if (n == 0) return;
-  if (config.use_fast_scoring && config.batch_ed) {
-    const size_t grain = std::max<size_t>(1, config.ed_batch_lanes);
-    const size_t chunks = (n + grain - 1) / grain;
-    auto score_chunk = [&](size_t c) {
-      const size_t start = c * grain;
-      model.ScoreLogProbFastBatch(lanes.data() + start,
-                                  std::min(grain, n - start),
-                                  /*ctx=*/nullptr, grain);
-    };
-    if (pool != nullptr && chunks > 1) {
-      pool->ParallelFor(chunks, score_chunk);
-    } else {
-      for (size_t c = 0; c < chunks; ++c) score_chunk(c);
-    }
-    return;
-  }
-  auto score_one = [&](size_t i) {
-    lanes[i].log_prob =
-        config.use_fast_scoring
-            ? model.ScoreLogProbFast(lanes[i].concept_id, *lanes[i].target)
-            : model.ScoreLogProbIds(lanes[i].concept_id, *lanes[i].target);
+  const size_t tiles = (n + kTile - 1) / kTile;
+  auto score_tile = [&](size_t t) {
+    const size_t start = t * kTile;
+    model.ScoreLogProbFastBatch(lanes.data() + start,
+                                std::min(kTile, n - start));
   };
-  if (pool != nullptr && n > 1) {
-    pool->ParallelFor(n, score_one);
+  if (pool != nullptr && tiles > 1) {
+    pool->ParallelFor(tiles, score_tile);
   } else {
-    for (size_t i = 0; i < n; ++i) score_one(i);
+    for (size_t t = 0; t < tiles; ++t) score_tile(t);
   }
 }
 
 /// Post-scoring per-candidate pass: length normalisation and the optional
-/// MAP concept prior (Eq. 11), identical for both scoring paths.
+/// MAP concept prior (Eq. 11).
 ScoredCandidate Finalize(const NclConfig& config,
                          const comaid::BatchScoreLane& lane) {
   double log_prob = lane.log_prob;
@@ -155,68 +138,10 @@ NclLinker::NclLinker(const comaid::ComAidModel* model,
 
 std::vector<ScoredCandidate> NclLinker::LinkDetailed(
     const std::vector<std::string>& query, PhaseTimings* timings) const {
-  // k is validated at construction and the config is immutable afterwards;
-  // re-check here so a future mutation path cannot silently produce empty
-  // rankings again.
-  NCL_CHECK(config_.k > 0) << "NclConfig::k must be positive";
-  NCL_TRACE_SPAN("ncl.link");
-  PhaseTimings local;
-  Stopwatch watch;
-
-  // --- OR: out-of-vocabulary word replacement. ---
-  std::vector<std::string> rewritten = query;
-  {
-    NCL_TRACE_SPAN("ncl.link.rewrite");
-    if (config_.rewrite_queries && rewriter_ != nullptr) {
-      rewritten = rewriter_->Rewrite(query);
-    }
-    local.rewrite_us = watch.ElapsedMicros();
-  }
-
-  // --- CR: candidate concept retrieval (Phase I). ---
-  watch.Reset();
-  std::vector<ontology::ConceptId> candidates;
-  {
-    NCL_TRACE_SPAN("ncl.link.retrieve");
-    candidates = candidates_->TopK(rewritten, config_.k);
-    local.retrieve_us = watch.ElapsedMicros();
-  }
-
-  // --- ED: encode-decode probability per candidate (Phase II). ---
-  watch.Reset();
-  // Tokenise/map the query once; candidates only ever need the word ids.
-  const std::vector<text::WordId> query_ids = model_->MapTokens(rewritten);
-  std::vector<std::vector<text::WordId>> filtered(candidates.size());
-  std::vector<comaid::BatchScoreLane> lanes(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    lanes[i].concept_id = candidates[i];
-    lanes[i].target = BuildTarget(*model_, config_, candidates[i], query_ids,
-                                  &filtered[i]);
-  }
-  {
-    NCL_TRACE_SPAN("ncl.link.score");
-    ScoreLanes(*model_, config_, pool_.get(), lanes);
-    local.score_us = watch.ElapsedMicros();
-  }
-
-  // --- RT: ranking by descending probability. ---
-  watch.Reset();
-  std::vector<ScoredCandidate> scored(lanes.size());
-  {
-    NCL_TRACE_SPAN("ncl.link.rank");
-    for (size_t i = 0; i < lanes.size(); ++i) {
-      scored[i] = Finalize(config_, lanes[i]);
-    }
-    SortRanking(scored);
-    local.rank_us = watch.ElapsedMicros();
-  }
-
-  // Publish the same readings PhaseTimings carries to the metrics registry
-  // (one histogram per Fig. 11 phase).
-  PublishTimings(local, candidates.size());
-
-  if (timings != nullptr) *timings = local;
-  return scored;
+  std::vector<PhaseTimings> batch_timings;
+  auto results = LinkBatchDetailed({query}, &batch_timings);
+  if (timings != nullptr) *timings = batch_timings[0];
+  return std::move(results[0]);
 }
 
 std::vector<std::vector<ScoredCandidate>> NclLinker::LinkBatchDetailed(
@@ -234,7 +159,8 @@ std::vector<std::vector<ScoredCandidate>> NclLinker::LinkBatchDetailed(
 
   // --- OR + CR per query, pooling every (query, candidate) pair. ---
   // Lane targets point into query_ids/filtered, so both are sized up front
-  // and never reallocated afterwards.
+  // and never reallocated afterwards. ED starts per query with its token
+  // mapping, so no phase time goes unstamped.
   Stopwatch watch;
   std::vector<std::vector<text::WordId>> query_ids(num_queries);
   std::vector<std::vector<ontology::ConceptId>> candidates(num_queries);
@@ -255,7 +181,9 @@ std::vector<std::vector<ScoredCandidate>> NclLinker::LinkBatchDetailed(
     candidates[q] = candidates_->TopK(rewritten, config_.k);
     local[q].retrieve_us = watch.ElapsedMicros();
 
+    watch.Reset();
     query_ids[q] = model_->MapTokens(rewritten);
+    local[q].score_us = watch.ElapsedMicros();
     lane_begin[q + 1] = lane_begin[q] + candidates[q].size();
   }
 
@@ -263,12 +191,14 @@ std::vector<std::vector<ScoredCandidate>> NclLinker::LinkBatchDetailed(
   std::vector<std::vector<text::WordId>> filtered(total_lanes);
   std::vector<comaid::BatchScoreLane> lanes(total_lanes);
   for (size_t q = 0; q < num_queries; ++q) {
+    watch.Reset();
     for (size_t i = 0; i < candidates[q].size(); ++i) {
       const size_t lane = lane_begin[q] + i;
       lanes[lane].concept_id = candidates[q][i];
       lanes[lane].target = BuildTarget(*model_, config_, candidates[q][i],
                                        query_ids[q], &filtered[lane]);
     }
+    local[q].score_us += watch.ElapsedMicros();
   }
 
   // --- ED: one pooled scoring pass; lock-step tiles span queries. The
@@ -276,16 +206,15 @@ std::vector<std::vector<ScoredCandidate>> NclLinker::LinkBatchDetailed(
   watch.Reset();
   {
     NCL_TRACE_SPAN("ncl.link.score");
-    ScoreLanes(*model_, config_, pool_.get(), lanes);
+    ScoreLanes(*model_, pool_.get(), lanes);
   }
   const double score_us = watch.ElapsedMicros();
   for (size_t q = 0; q < num_queries; ++q) {
     const size_t q_lanes = lane_begin[q + 1] - lane_begin[q];
-    local[q].score_us =
-        total_lanes == 0
-            ? 0.0
-            : score_us * static_cast<double>(q_lanes) /
-                  static_cast<double>(total_lanes);
+    if (total_lanes > 0) {
+      local[q].score_us += score_us * static_cast<double>(q_lanes) /
+                           static_cast<double>(total_lanes);
+    }
   }
 
   // --- RT per query. ---

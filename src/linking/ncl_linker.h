@@ -9,12 +9,15 @@
 // description and the query are temporarily removed before scoring.
 // LinkDetailed exposes per-phase wall-clock timings (the OR / CR / ED / RT
 // split of Fig. 11) and per-candidate losses for the feedback controller.
+// There is one pipeline: LinkDetailed is LinkBatchDetailed on one query, and
+// Phase II always scores through ComAidModel::ScoreLogProbFastBatch.
 //
-// Observability: every LinkDetailed call publishes the same per-phase
-// durations that fill PhaseTimings to the `ncl.link.*` histograms of the
-// global metrics registry, and runs under `ncl.link` / `ncl.link.<phase>`
-// trace spans (see src/obs/). The config is immutable after construction —
-// a linker is shared across scoring threads.
+// Observability: every linked query publishes the same per-phase durations
+// that fill PhaseTimings to the `ncl.link.*` histograms of the global
+// metrics registry, and runs under `ncl.link_batch` (the call),
+// `ncl.link.query` (one query's OR + CR) and `ncl.link.score` (the pooled
+// ED pass) trace spans (see src/obs/). The config is immutable after
+// construction — a linker is shared across scoring threads.
 
 #pragma once
 
@@ -45,21 +48,11 @@ struct NclConfig {
   /// default: with shared-word removal the raw sum deliberately rewards
   /// candidates that explain more of the query lexically (Eq. 3 semantics).
   bool length_normalize = false;
-  /// Threads for parallel encode-decode scoring (paper uses ten).
+  /// Threads for parallel encode-decode scoring (paper uses ten). Phase II
+  /// splits its lanes into ComAidModel::kDefaultScoreLanes-wide tiles, one
+  /// pool task each, so threads only engage once a call has more lanes than
+  /// one tile.
   size_t scoring_threads = 10;
-  /// Score Phase II with the tape-free fast path (cached concept encodings,
-  /// zero graph allocations). Off => the reference tape-based scorer; both
-  /// agree within float round-off (pinned by the parity tests).
-  bool use_fast_scoring = true;
-  /// Batch the ED phase: score candidates in lock-step tiles through
-  /// ComAidModel::ScoreLogProbFastBatch so the decoder weights stream once
-  /// per decode step instead of once per candidate. Requires
-  /// use_fast_scoring; per-candidate scores are bit-identical to the
-  /// unbatched fast path (shared canonical reduction order).
-  bool batch_ed = true;
-  /// Lock-step width for batched ED scoring; also the per-task grain when
-  /// the batch is split across scoring threads.
-  size_t ed_batch_lanes = 32;
   /// Optional non-uniform concept prior for MAP estimation (Eq. 11): maps
   /// concept id -> prior probability. Candidates absent from the map get
   /// `default_prior`. When empty, the uniform-prior MLE of Eq. 12 applies.
@@ -96,6 +89,7 @@ class NclLinker : public ConceptLinker {
   Ranking Link(const std::vector<std::string>& query, size_t k) const override;
 
   /// Full pipeline with timings: returns candidates re-ranked by Phase II.
+  /// Same as LinkBatchDetailed on the one query.
   std::vector<ScoredCandidate> LinkDetailed(const std::vector<std::string>& query,
                                             PhaseTimings* timings = nullptr) const;
 
@@ -106,8 +100,9 @@ class NclLinker : public ConceptLinker {
   /// so a micro-batch of small-k queries still fills whole GEMM tiles. The
   /// per-query rankings are identical to calling LinkDetailed per query
   /// (same scores — the batched scorer is lane-order invariant).
-  /// `timings`, when non-null, receives one PhaseTimings per query; the
-  /// shared ED pass is attributed proportionally to each query's lane count.
+  /// `timings`, when non-null, receives one PhaseTimings per query. A
+  /// query's ED time is its own token mapping and target building plus its
+  /// lane share of the pooled scoring pass.
   /// `flow_ids`, when non-null, holds one trace flow-edge id per query (see
   /// obs::RequestFlowId; 0 = none): each query's Phase-I work then runs
   /// under an `ncl.link.query` span that terminates that flow edge, so a

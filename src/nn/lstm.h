@@ -46,7 +46,7 @@ class LstmCell {
   /// state; return the new state.
   LstmState Step(Tape& tape, VarId x, const LstmState& prev) const;
 
-  /// \brief Value-only step for the tape-free inference fast path.
+  /// \brief Value-only step for tape-free concept encoding.
   ///
   /// Reads x (input_dim floats) and the previous state h_prev/c_prev
   /// (hidden_dim floats each); writes the new state into h_out/c_out.

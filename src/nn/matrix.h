@@ -85,9 +85,9 @@ class Matrix {
   Matrix MatMul(const Matrix& other) const;
 
   /// Matrix-vector product into a caller buffer: y = this(m,k) * x, where x
-  /// has k entries and y has m. The dominant kernel shape of the inference
-  /// fast path (hidden dims 32-256); blocked accumulation, branch-free inner
-  /// loop so the compiler can vectorise.
+  /// has k entries and y has m. Used by tape-free concept encoding and the
+  /// per-lane attention scores (hidden dims 32-256); blocked accumulation,
+  /// branch-free inner loop so the compiler can vectorise.
   void MatVecInto(const float* x, float* y) const;
 
   /// Accumulating matrix-vector product: y += this(m,k) * x.

@@ -8,9 +8,9 @@
 // the *same* operation sequence with scalar FMAs, so every function here is
 // position-independent: f(v[j]) does not depend on where j falls relative
 // to the vector width. That property is what keeps the batched ED scorer
-// bit-identical to the single-lane fast path — both call these helpers over
-// differently shaped buffers (lanes x d vs d), and identical inputs must
-// produce identical outputs regardless of offset.
+// bit-identical across tile widths — a one-lane tile and a full tile call
+// these helpers over differently shaped buffers (d vs lanes x d), and
+// identical inputs must produce identical outputs regardless of offset.
 //
 // Without native codegen the fallbacks are the exact std::exp/std::tanh
 // formulas the call sites previously inlined, so the portable build's

@@ -123,8 +123,9 @@ class NclSnapshot : public ModelSnapshot {
   const comaid::ComAidModel& model() const { return *model_; }
   const linking::NclLinker& linker() const { return *linker_; }
 
-  /// The NclConfig defaults appropriate for a serving shard: fast scoring,
-  /// single-threaded per query (the service parallelises across queries).
+  /// The NclConfig defaults appropriate for a serving shard: no scoring
+  /// pool (the service parallelises across shards, and each shard's
+  /// micro-batch already fills lock-step tiles).
   static linking::NclConfig MakeServingConfig() {
     linking::NclConfig config;
     config.scoring_threads = 1;

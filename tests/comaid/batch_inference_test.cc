@@ -1,10 +1,9 @@
-// Tests for the batched Phase-II scorer: parity with the tape path and the
-// single-lane fast path, bit-stability across lane counts and batch
+// Tests for the batched Phase-II scorer: parity with the tape path and with
+// one lane per call, bit-stability across lane counts and batch
 // compositions (the ScoreLogProbFastBatch determinism contract), ragged
-// target handling including empty residues, structural-attention fallback
-// lanes, and context reuse. Run under the asan/tsan presets when touching
-// the lock-step loop — the shrinking-prefix masking is exactly the kind of
-// code that hides off-by-one reads.
+// target handling including empty residues, and context reuse. Run under the
+// asan/tsan presets when touching the lock-step loop — the shrinking-prefix
+// masking is exactly the kind of code that hides off-by-one reads.
 
 #include <gtest/gtest.h>
 
@@ -63,7 +62,8 @@ struct LaneSet {
 LaneSet MakeLanes(const ComAidModel& model, const ontology::Ontology& onto) {
   LaneSet set;
   auto queries = TestQueries();
-  for (ontology::ConceptId id : onto.AllConcepts()) {
+  const size_t num_concepts = onto.AllConcepts().size();
+  for (size_t c = 0; c < num_concepts; ++c) {
     for (const auto& query : queries) {
       set.targets.push_back(model.MapTokens(query));
     }
@@ -80,12 +80,19 @@ LaneSet MakeLanes(const ComAidModel& model, const ontology::Ontology& onto) {
   return set;
 }
 
+/// log p(target | concept) scored as a one-lane batch.
+double ScoreOneLane(const ComAidModel& model, const BatchScoreLane& lane) {
+  BatchScoreLane single{lane.concept_id, lane.target};
+  model.ScoreLogProbFastBatch(&single, 1);
+  return single.log_prob;
+}
+
 TEST(BatchInferenceTest, MatchesSingleLaneBitExactAcrossVariants) {
-  // Each batched lane must reproduce the unbatched fast path exactly: both
-  // run the same canonical per-element reduction order, so this is ==, not
-  // NEAR. Variants cover both attention switches (structural attention
-  // exercises the mixed-width fallback: root-level concepts have no
-  // ancestors).
+  // Each lane of a pooled tile must reproduce the same lane scored alone:
+  // both run the same canonical per-element reduction order, so this is ==,
+  // not NEAR. Variants cover both attention switches; under structural
+  // attention every concept, top-level ones included, attends over beta
+  // ancestor slots (Def. 4.1 pads a short path with the concept itself).
   ontology::Ontology onto = MakeOntology();
   for (bool text : {true, false}) {
     for (bool structural : {true, false}) {
@@ -96,8 +103,7 @@ TEST(BatchInferenceTest, MatchesSingleLaneBitExactAcrossVariants) {
       LaneSet set = MakeLanes(model, onto);
       model.ScoreLogProbFastBatch(set.lanes.data(), set.lanes.size());
       for (const BatchScoreLane& lane : set.lanes) {
-        EXPECT_EQ(lane.log_prob,
-                  model.ScoreLogProbFast(lane.concept_id, *lane.target))
+        EXPECT_EQ(lane.log_prob, ScoreOneLane(model, lane))
             << VariantName(config) << " concept " << lane.concept_id;
       }
     }
@@ -170,8 +176,7 @@ TEST(BatchInferenceTest, ParityHoldsAfterTraining) {
   LaneSet set = MakeLanes(model, onto);
   model.ScoreLogProbFastBatch(set.lanes.data(), set.lanes.size());
   for (const BatchScoreLane& lane : set.lanes) {
-    EXPECT_EQ(lane.log_prob,
-              model.ScoreLogProbFast(lane.concept_id, *lane.target));
+    EXPECT_EQ(lane.log_prob, ScoreOneLane(model, lane));
     EXPECT_NEAR(lane.log_prob,
                 model.ScoreLogProbIds(lane.concept_id, *lane.target), 1e-5);
   }

@@ -1,8 +1,9 @@
-// Tests for the tape-free inference fast path: fast-vs-tape score parity
-// across COM-AID variants, concept-encoding cache lifecycle (lazy fill,
-// eager precompute, invalidation on weight updates), and thread-safety of
-// concurrent scoring. Run these under -fsanitize=thread (the `tsan` CMake
-// preset) when touching the cache or the scoring hot loop.
+// Tests for tape-free inference: parity of the batched scorer
+// (ScoreLogProbFastBatch) with the tape path across COM-AID variants,
+// concept-encoding cache lifecycle (lazy fill, eager precompute,
+// invalidation on weight updates), and thread-safety of concurrent scoring.
+// Run these under -fsanitize=thread (the `tsan` CMake preset) when touching
+// the cache or the scoring hot loop.
 
 #include <gtest/gtest.h>
 
@@ -53,6 +54,14 @@ std::vector<std::vector<std::string>> TestQueries() {
           {"anemia", "xylophone", "stage"}};
 }
 
+/// log p(target | concept) through the tape-free scorer, one lane per call.
+double ScoreFast(const ComAidModel& model, ontology::ConceptId id,
+                 const std::vector<text::WordId>& target) {
+  BatchScoreLane lane{id, &target};
+  model.ScoreLogProbFastBatch(&lane, 1);
+  return lane.log_prob;
+}
+
 TEST(InferenceTest, FastMatchesTapeAcrossVariants) {
   ontology::Ontology onto = MakeOntology();
   for (bool text : {true, false}) {
@@ -65,7 +74,7 @@ TEST(InferenceTest, FastMatchesTapeAcrossVariants) {
         for (const auto& query : TestQueries()) {
           auto target = model.MapTokens(query);
           double tape = model.ScoreLogProbIds(id, target);
-          double fast = model.ScoreLogProbFast(id, target);
+          double fast = ScoreFast(model, id, target);
           EXPECT_NEAR(tape, fast, 1e-5)
               << VariantName(config) << " concept " << onto.Get(id).code;
         }
@@ -91,18 +100,9 @@ TEST(InferenceTest, FastMatchesTapeAfterTraining) {
     for (const auto& query : TestQueries()) {
       auto target = model.MapTokens(query);
       EXPECT_NEAR(model.ScoreLogProbIds(id, target),
-                  model.ScoreLogProbFast(id, target), 1e-5);
+                  ScoreFast(model, id, target), 1e-5);
     }
   }
-}
-
-TEST(InferenceTest, StringOverloadMatchesIdOverload) {
-  ontology::Ontology onto = MakeOntology();
-  ComAidModel model(SmallConfig(), &onto, {});
-  auto id = onto.FindByCode("N18.5");
-  std::vector<std::string> query{"kidney", "disease"};
-  EXPECT_EQ(model.ScoreLogProbFast(id, query),
-            model.ScoreLogProbFast(id, model.MapTokens(query)));
 }
 
 TEST(InferenceTest, CacheFillsLazilyAndPrecomputesEagerly) {
@@ -110,8 +110,7 @@ TEST(InferenceTest, CacheFillsLazilyAndPrecomputesEagerly) {
   ComAidModel model(SmallConfig(), &onto, {});
   EXPECT_EQ(model.num_cached_encodings(), 0u);
 
-  model.ScoreLogProbFast(onto.FindByCode("N18.5"),
-                         std::vector<text::WordId>{});
+  ScoreFast(model, onto.FindByCode("N18.5"), {});
   EXPECT_GE(model.num_cached_encodings(), 1u);
 
   size_t computed = model.PrecomputeConceptEncodings();
@@ -138,11 +137,11 @@ TEST(InferenceTest, TrainingInvalidatesCacheAndKeepsParity) {
 
   model.PrecomputeConceptEncodings();
   uint64_t version_before = model.weights_version();
-  double score_before = model.ScoreLogProbFast(concept_id, target);
+  double score_before = ScoreFast(model, concept_id, target);
 
   // One gradient step through TrainBatch must invalidate every cached
-  // encoding — otherwise the fast path would keep scoring with pre-update
-  // encoder states while the tape path uses the new weights.
+  // encoding — otherwise the tape-free scorer would keep scoring with
+  // pre-update encoder states while the tape path uses the new weights.
   TrainConfig tc;
   ComAidTrainer trainer(tc);
   nn::SgdOptimizer optimizer(0.5, 0.0, 5.0);
@@ -152,7 +151,7 @@ TEST(InferenceTest, TrainingInvalidatesCacheAndKeepsParity) {
   EXPECT_GT(model.weights_version(), version_before);
   EXPECT_EQ(model.num_cached_encodings(), 0u);
 
-  double fast_after = model.ScoreLogProbFast(concept_id, target);
+  double fast_after = ScoreFast(model, concept_id, target);
   double tape_after = model.ScoreLogProbIds(concept_id, target);
   EXPECT_NEAR(fast_after, tape_after, 1e-5);
   // A 0.5-learning-rate step on this exact pair moves the score.
@@ -183,7 +182,7 @@ TEST(InferenceTest, ConcurrentScoringMatchesSerial) {
   ThreadPool pool(8);
   for (int repeat = 0; repeat < 4; ++repeat) {
     pool.ParallelFor(work.size(), [&](size_t i) {
-      concurrent[i] = model.ScoreLogProbFast(work[i].first, work[i].second);
+      concurrent[i] = ScoreFast(model, work[i].first, work[i].second);
     });
     for (size_t i = 0; i < work.size(); ++i) {
       EXPECT_NEAR(concurrent[i], serial[i], 1e-5) << "work item " << i;
@@ -202,7 +201,7 @@ TEST(InferenceTest, CacheMetricsShowAllHitsOnRepeatQuery) {
   uint64_t misses_before = metrics.misses->value();
   uint64_t fills_before = metrics.fills->value();
   for (ontology::ConceptId id : onto.AllConcepts()) {
-    model.ScoreLogProbFast(id, target);
+    ScoreFast(model, id, target);
   }
   // Cold pass: one miss + fill per concept.
   EXPECT_EQ(metrics.misses->value() - misses_before, onto.num_concepts());
@@ -211,7 +210,7 @@ TEST(InferenceTest, CacheMetricsShowAllHitsOnRepeatQuery) {
   uint64_t hits_before = metrics.hits->value();
   misses_before = metrics.misses->value();
   for (ontology::ConceptId id : onto.AllConcepts()) {
-    model.ScoreLogProbFast(id, target);
+    ScoreFast(model, id, target);
   }
   // Warm pass over the identical query: every lookup hits, none miss.
   EXPECT_EQ(metrics.hits->value() - hits_before, onto.num_concepts());
@@ -220,19 +219,6 @@ TEST(InferenceTest, CacheMetricsShowAllHitsOnRepeatQuery) {
   uint64_t invalidations_before = metrics.invalidations->value();
   model.InvalidateConceptEncodings();
   EXPECT_GT(metrics.invalidations->value(), invalidations_before);
-}
-
-TEST(InferenceTest, ExplicitContextReuse) {
-  ontology::Ontology onto = MakeOntology();
-  ComAidModel model(SmallConfig(), &onto, {});
-  InferenceContext ctx;
-  auto target = model.MapTokens({"anemia", "blood"});
-  double first = model.ScoreLogProbFast(onto.FindByCode("D50.0"), target, &ctx);
-  // Reusing the same context across concepts/targets must not leak state.
-  model.ScoreLogProbFast(onto.FindByCode("N18.5"), model.MapTokens({"ckd"}),
-                         &ctx);
-  double again = model.ScoreLogProbFast(onto.FindByCode("D50.0"), target, &ctx);
-  EXPECT_EQ(first, again);
 }
 
 }  // namespace

@@ -115,6 +115,7 @@ TEST(ModelIoTest, ForgedCountsFailWithStatus) {
       {"dim beyond the weights", "", 8, uint64_t{1} << 32},
       {"huge dim", "", 8, kHuge},
       {"beta beyond int32", "", 16, kHuge},
+      {"zero beta", "", 16, 0},
   };
   for (const Forgery& forgery : forgeries) {
     SCOPED_TRACE(forgery.what);

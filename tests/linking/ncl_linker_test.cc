@@ -109,30 +109,6 @@ TEST(NclLinkerTest, KCapsPhaseOneCandidates) {
   EXPECT_LE(linker.LinkDetailed({"anemia", "kidney"}).size(), 2u);
 }
 
-TEST(NclLinkerTest, FastAndTapeScoringAgree) {
-  // The default tape-free scorer must reproduce the tape path's ranking and
-  // log-probabilities within the inference fast path's parity bound.
-  Fixture f;
-  NclConfig fast_config;
-  fast_config.use_fast_scoring = true;
-  NclConfig tape_config;
-  tape_config.use_fast_scoring = false;
-  NclLinker fast(f.model.get(), f.candidates.get(), nullptr, fast_config);
-  NclLinker tape(f.model.get(), f.candidates.get(), nullptr, tape_config);
-  for (const std::vector<std::string>& query :
-       {std::vector<std::string>{"ckd", "5"},
-        std::vector<std::string>{"iron", "anemia", "nos"},
-        std::vector<std::string>{"anemia", "blood", "loss"}}) {
-    auto rf = fast.LinkDetailed(query);
-    auto rt = tape.LinkDetailed(query);
-    ASSERT_EQ(rf.size(), rt.size());
-    for (size_t i = 0; i < rf.size(); ++i) {
-      EXPECT_EQ(rf[i].concept_id, rt[i].concept_id);
-      EXPECT_NEAR(rf[i].log_prob, rt[i].log_prob, 1e-5);
-    }
-  }
-}
-
 TEST(NclLinkerTest, SingleAndMultiThreadAgree) {
   Fixture f;
   NclConfig serial;
@@ -213,55 +189,47 @@ TEST(NclLinkerTest, NoCandidatesYieldsEmptyRanking) {
   EXPECT_TRUE(linker.Link({"xylophone"}, 3).empty());
 }
 
-TEST(NclLinkerTest, BatchedEdMatchesUnbatchedBitExact) {
-  // batch_ed reroutes Phase II through the lock-step scorer; scores — not
-  // just the ranking — must be bit-identical to the per-candidate fast path
-  // (shared canonical reduction order).
-  Fixture f;
-  NclConfig batched;
-  batched.batch_ed = true;
-  NclConfig single;
-  single.batch_ed = false;
-  NclLinker a(f.model.get(), f.candidates.get(), nullptr, batched);
-  NclLinker b(f.model.get(), f.candidates.get(), nullptr, single);
-  for (const std::vector<std::string>& query :
-       {std::vector<std::string>{"ckd", "5"},
-        std::vector<std::string>{"iron", "anemia", "nos"},
-        std::vector<std::string>{"anemia", "blood", "loss"},
-        std::vector<std::string>{}}) {
-    auto ra = a.LinkDetailed(query);
-    auto rb = b.LinkDetailed(query);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].concept_id, rb[i].concept_id);
-      EXPECT_EQ(ra[i].log_prob, rb[i].log_prob);
-    }
-  }
-}
-
 TEST(NclLinkerTest, BatchedEdInvariantToLaneWidthAndThreads) {
+  // Each query overlaps all four fine-grained concepts' descriptions, so
+  // nine queries give 36 > 32 lanes: the pooled pass splits into two
+  // lock-step tiles and a 4-thread linker scores them through
+  // ThreadPool::ParallelFor. Scores must match the single-threaded pass and
+  // each query linked alone (one narrower tile) bit for bit.
   Fixture f;
-  NclConfig base;
-  base.batch_ed = true;
-  base.ed_batch_lanes = 32;
-  base.scoring_threads = 1;
-  NclLinker reference(f.model.get(), f.candidates.get(), nullptr, base);
-  auto expected = reference.LinkDetailed({"kidney", "disease", "5"});
+  const std::vector<std::vector<std::string>> queries = {
+      {"iron", "deficiency", "anemia", "chronic", "kidney", "disease"},
+      {"chronic", "kidney", "disease", "stage", "5", "anemia"},
+      {"iron", "anemia", "kidney", "unspecified"},
+      {"ckd", "kidney", "iron", "blood", "loss"},
+      {"deficiency", "kidney", "anemia"},
+      {"chronic", "iron", "disease", "nos"},
+      {"anemia", "disease"},
+      {"kidney", "anemia", "5"},
+      {"iron", "chronic", "blood", "loss"}};
+  NclConfig serial;
+  serial.scoring_threads = 1;
+  NclConfig parallel;
+  parallel.scoring_threads = 4;
+  NclLinker reference(f.model.get(), f.candidates.get(), nullptr, serial);
+  NclLinker threaded(f.model.get(), f.candidates.get(), nullptr, parallel);
+  auto expected = reference.LinkBatchDetailed(queries);
+  auto got = threaded.LinkBatchDetailed(queries);
 
-  for (size_t lanes : {size_t{1}, size_t{3}, size_t{8}}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      NclConfig config = base;
-      config.ed_batch_lanes = lanes;
-      config.scoring_threads = threads;
-      NclLinker linker(f.model.get(), f.candidates.get(), nullptr, config);
-      auto got = linker.LinkDetailed({"kidney", "disease", "5"});
-      ASSERT_EQ(got.size(), expected.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].concept_id, expected[i].concept_id)
-            << "lanes=" << lanes << " threads=" << threads;
-        EXPECT_EQ(got[i].log_prob, expected[i].log_prob)
-            << "lanes=" << lanes << " threads=" << threads;
-      }
+  size_t lanes = 0;
+  for (const auto& ranking : expected) lanes += ranking.size();
+  ASSERT_GT(lanes, comaid::ComAidModel::kDefaultScoreLanes);
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto alone = reference.LinkDetailed(queries[q]);
+    ASSERT_EQ(got[q].size(), expected[q].size()) << "query " << q;
+    ASSERT_EQ(alone.size(), expected[q].size()) << "query " << q;
+    for (size_t i = 0; i < expected[q].size(); ++i) {
+      EXPECT_EQ(got[q][i].concept_id, expected[q][i].concept_id)
+          << "query " << q;
+      EXPECT_EQ(got[q][i].log_prob, expected[q][i].log_prob) << "query " << q;
+      EXPECT_EQ(alone[i].concept_id, expected[q][i].concept_id)
+          << "query " << q;
+      EXPECT_EQ(alone[i].log_prob, expected[q][i].log_prob) << "query " << q;
     }
   }
 }

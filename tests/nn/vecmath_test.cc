@@ -48,8 +48,12 @@ TEST(VecMathTest, TanhMatchesLibmAndSaturates) {
   TanhInplace(v.data(), v.size());
   for (size_t i = 0; i < v.size(); ++i) {
     EXPECT_NEAR(v[i], expected[i], 2e-6f) << "x[" << i << "]";
-    if (input[i] >= 12.0f) EXPECT_EQ(v[i], 1.0f);
-    if (input[i] <= -12.0f) EXPECT_EQ(v[i], -1.0f);
+    if (input[i] >= 12.0f) {
+      EXPECT_EQ(v[i], 1.0f);
+    }
+    if (input[i] <= -12.0f) {
+      EXPECT_EQ(v[i], -1.0f);
+    }
   }
 }
 

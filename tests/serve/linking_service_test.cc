@@ -311,18 +311,24 @@ TEST(LinkingServiceTest, DrainRacingConcurrentSubmitsResolvesEveryFuture) {
   constexpr size_t kPerThread = 50;
   std::mutex futures_mutex;
   std::vector<std::future<LinkResult>> futures;
+  std::atomic<size_t> submitted{0};
   std::vector<std::thread> submitters;
   for (size_t t = 0; t < kSubmitters; ++t) {
     submitters.emplace_back([&] {
       for (size_t i = 0; i < kPerThread; ++i) {
         std::future<LinkResult> f = service.SubmitLink(Query());
+        submitted.fetch_add(1, std::memory_order_release);
         std::lock_guard<std::mutex> lock(futures_mutex);
         futures.push_back(std::move(f));
       }
     });
   }
-  // Start the drain mid-burst, concurrent with the submitters.
-  std::this_thread::sleep_for(2ms);
+  // Start the drain mid-burst, concurrent with the submitters, but only once
+  // a request is in: a drain that wins the race against every thread start
+  // (a loaded machine) would leave nothing to serve.
+  while (submitted.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
   std::thread drainer([&] { service.Drain(); });
   for (auto& t : submitters) t.join();
   drainer.join();

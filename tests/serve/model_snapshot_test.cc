@@ -1,7 +1,7 @@
 // SnapshotRegistry / NclSnapshot tests, including the concurrency stress
 // the snapshot design exists for: COM-AID weights being retrained (and the
 // concept-encoding cache being invalidated) *while* other threads score
-// through ScoreLogProbFast. Pre-snapshot, that was a documented data race
+// through the tape-free scorer. Pre-snapshot, that was a documented data race
 // (NotifyWeightsChanged clears the cache under live readers); with
 // snapshots, mutation only ever touches a model no scorer can see yet, and
 // publication is an atomic pointer swap. Run under -fsanitize=thread (the
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -203,11 +204,13 @@ TEST(ModelSnapshotTest, NclSnapshotLinkBatchTracedSurfacesPhaseTimings) {
   }
 }
 
-// The satellite stress: scorers hammer ScoreLogProbFast through pinned
-// snapshots while a publisher trains fresh models (weight mutation + cache
-// invalidation) and swaps them in. Without snapshots this is the
-// Clear-under-readers race; with them TSan must stay silent and every
-// score must be finite.
+// The stress: scorers hammer Link through pinned snapshots while a
+// publisher trains fresh models (weight mutation + cache invalidation) and
+// swaps them in. Without snapshots this is the Clear-under-readers race;
+// with them TSan must stay silent and every score must be finite. Before
+// each publish the publisher waits until every scorer has scored again, so
+// each swap lands while all scorers are live, however the threads are
+// scheduled.
 TEST(SnapshotRegistryTest, RetrainAndPublishUnderConcurrentScoring) {
   ontology::Ontology onto = MakeOntology();
   auto candidates = std::make_shared<const linking::CandidateGenerator>(
@@ -219,12 +222,12 @@ TEST(SnapshotRegistryTest, RetrainAndPublishUnderConcurrentScoring) {
   constexpr int kScorers = 4;
   constexpr int kPublishes = 3;
   std::atomic<bool> done{false};
-  std::atomic<uint64_t> scored{0};
+  std::array<std::atomic<uint64_t>, kScorers> scored_by{};
   std::atomic<bool> saw_bad_score{false};
 
   std::vector<std::thread> scorers;
   for (int t = 0; t < kScorers; ++t) {
-    scorers.emplace_back([&] {
+    scorers.emplace_back([&, t] {
       const std::vector<std::string> query{"acute", "blood", "loss"};
       while (!done.load(std::memory_order_acquire)) {
         std::shared_ptr<const ModelSnapshot> snapshot = registry.Current();
@@ -232,24 +235,35 @@ TEST(SnapshotRegistryTest, RetrainAndPublishUnderConcurrentScoring) {
         if (ranked.empty() || !std::isfinite(ranked.front().log_prob)) {
           saw_bad_score.store(true, std::memory_order_relaxed);
         }
-        scored.fetch_add(1, std::memory_order_relaxed);
+        scored_by[t].fetch_add(1, std::memory_order_release);
       }
     });
   }
 
   // Publisher: every iteration retrains a *fresh* model (all mutation and
-  // NotifyWeightsChanged cache clears happen pre-publish) and swaps it in
-  // while the scorers are mid-flight.
+  // NotifyWeightsChanged cache clears happen pre-publish), waits for every
+  // scorer to finish another Link, and swaps the model in while the scorers
+  // are mid-flight.
+  std::array<uint64_t, kScorers> seen{};
   for (int p = 0; p < kPublishes; ++p) {
-    registry.Publish(std::make_shared<NclSnapshot>(
+    auto next = std::make_shared<NclSnapshot>(
         TrainModel(onto, 2, 100 + static_cast<uint64_t>(p)), candidates,
-        nullptr));
+        nullptr);
+    for (int t = 0; t < kScorers; ++t) {
+      while (scored_by[t].load(std::memory_order_acquire) == seen[t]) {
+        std::this_thread::yield();
+      }
+      seen[t] = scored_by[t].load(std::memory_order_acquire);
+    }
+    registry.Publish(std::move(next));
   }
   done.store(true, std::memory_order_release);
   for (auto& t : scorers) t.join();
 
+  uint64_t scored = 0;
+  for (const auto& count : scored_by) scored += count.load();
   EXPECT_FALSE(saw_bad_score.load());
-  EXPECT_GT(scored.load(), 0u);
+  EXPECT_GT(scored, 0u);
   EXPECT_EQ(registry.current_version(), 1u + kPublishes);
 }
 
